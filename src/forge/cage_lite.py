@@ -300,6 +300,17 @@ def _observe(
     )
 
 
+def _resume_rng(rng_state: tuple) -> random.Random:
+    """A generator continuing the stream saved in ``rng_state``.
+
+    ``random.Random()`` would seed itself from OS entropy only for
+    ``setstate`` to overwrite it; allocating without ``__init__`` skips that.
+    """
+    rng = random.Random.__new__(random.Random)
+    rng.setstate(rng_state)
+    return rng
+
+
 def reset(seed: int) -> tuple[EnvState, Observation]:
     """Start a fresh episode. Identical seeds replay bit-identically."""
     rng = random.Random(seed)
@@ -329,8 +340,7 @@ def step(state: EnvState, action: BlueAction) -> tuple[EnvState, Observation, fl
     if not isinstance(action, BlueAction):
         raise InvalidActionError(f"not a BlueAction: {action!r}")
 
-    rng = random.Random()
-    rng.setstate(state.rng_state)
+    rng = _resume_rng(state.rng_state)
     hosts = list(state.hosts)
     chain = state.attacker.target_chain
     foothold_before = _foothold(state.hosts, chain)
@@ -377,8 +387,7 @@ def step(state: EnvState, action: BlueAction) -> tuple[EnvState, Observation, fl
 
 def attacker_transition(state: EnvState) -> EnvState:
     """Apply just the attacker's move (used by tests to probe the kill chain)."""
-    rng = random.Random()
-    rng.setstate(state.rng_state)
+    rng = _resume_rng(state.rng_state)
     hosts = list(state.hosts)
     _advance_attacker(hosts, state.attacker.target_chain, rng)
     new_hosts = tuple(hosts)

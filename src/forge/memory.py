@@ -9,8 +9,8 @@ machine-readable clause that scripted policies can execute directly.
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -256,7 +256,11 @@ class InstanceMemory:
         )
 
     def content_hash(self) -> str:
-        return hashlib.sha256(save(self)).hexdigest()
+        """SHA-256 over the canonical JSON of :meth:`to_dict`."""
+        canonical = json.dumps(
+            self.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        )
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:
         return {
@@ -284,10 +288,14 @@ def render_injection(memory: InstanceMemory, role: Role, representation: Represe
 
 
 def replace_dynamic(dst: InstanceMemory, src: InstanceMemory) -> InstanceMemory:
-    """Destructively replace dst's learned artifacts with a deep copy of src's."""
+    """Destructively replace dst's learned artifacts with a copy of src's.
+
+    Artifacts are frozen, so copying each role's list is enough to keep later
+    appends and evictions on either side from reaching the other.
+    """
     if dst.persistent != src.persistent:
         raise MemoryProtocolError("cannot broadcast between instances with different persistent memory")
-    dst.dynamic = {role: copy.deepcopy(items) for role, items in src.dynamic.items()}
+    dst.dynamic = {role: list(items) for role, items in src.dynamic.items()}
     return dst
 
 

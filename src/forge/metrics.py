@@ -349,7 +349,13 @@ def render_aggregate_table(report: AggregateReport) -> str:
             f"{data['tokens_prompt']:>12d} {data['tokens_completion']:>12d} "
             f"{data['tokens_prompt_completion_ratio']:>6.1f}"
         )
-    buckets = ["S1", "S2", "S3", "S4", "S5", "S6", "never"]
+    staged = {
+        bucket
+        for data in report.groups.values()
+        for bucket in data["graduation_distribution"]
+        if bucket != "never"
+    }
+    buckets = sorted(staged, key=lambda b: int(b[1:])) + ["never"]
     lines.append("")
     lines.append("graduation stage distribution")
     lines.append(f"{'condition/repr':<22s} " + " ".join(f"{b:>6s}" for b in buckets))

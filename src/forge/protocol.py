@@ -88,6 +88,8 @@ class ProtocolConfig:
             raise ConfigError("eval_episodes_per_instance must be >= 1")
         if self.memory_capacity < 1:
             raise ConfigError("memory_capacity must be >= 1")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ConfigError("max_workers must be >= 1")
         if self.backend not in ("scripted", "mock", "http"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
 
@@ -142,8 +144,11 @@ def config_from_dict(raw: dict) -> ProtocolConfig:
                 kwargs[key] = caster(raw[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
-    if raw.get("max_workers") is not None:
-        kwargs["max_workers"] = int(raw["max_workers"])
+    workers = raw.get("max_workers")
+    if workers is not None:
+        if isinstance(workers, bool) or not isinstance(workers, int):
+            raise ConfigError(f"max_workers must be an integer, got {workers!r}")
+        kwargs["max_workers"] = workers
     return ProtocolConfig(**kwargs)
 
 
@@ -492,6 +497,21 @@ def _worker(
     return summaries, score
 
 
+def _stage_workers(config: ProtocolConfig, backend) -> int:
+    """Worker threads for the stage pool.
+
+    Threads only pay off while calls wait on the network, i.e. when the
+    backend talks through an :class:`HttpConnector`. Offline backends are pure
+    CPU, where extra threads just contend for the GIL, so they get one worker.
+    An explicit ``max_workers`` always wins.
+    """
+    if config.max_workers is not None:
+        return config.max_workers
+    if isinstance(getattr(backend, "connector", None), HttpConnector):
+        return min(config.instances, 8)
+    return 1
+
+
 def _run_stages(
     config: ProtocolConfig,
     backend,
@@ -507,9 +527,8 @@ def _run_stages(
     }
     total_aborted = 0
     total_artifacts = 0
-    max_workers = config.max_workers or min(config.instances, 8)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as executor:
+    with ThreadPoolExecutor(max_workers=_stage_workers(config, backend)) as executor:
         for stage in range(1, config.stages + 1):
             active = [p for p in population if p.graduated_at is None]
             futures = {

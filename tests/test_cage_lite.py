@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import statistics
 from dataclasses import replace
 
@@ -289,3 +291,53 @@ class TestTrajectoryLog:
             "step=03 action=Restore target=6 reward=-1.0"
             " anomalous=0000000000000 suspicious=0000001000000 newfile=0000000000000"
         )
+
+
+def _host_levels(state) -> list[tuple[int, bool]]:
+    return [(int(h.level), h.decoy_present) for h in state.hosts]
+
+
+class TestRandomStream:
+    """Pins the simulator's random stream to the values of earlier releases.
+
+    The expected digests were computed before the per-step generator stopped
+    being built with ``random.Random()``; equal digests show the carried
+    ``rng_state`` resumes the identical stream.
+    """
+
+    def test_heuristic_trajectory_digest(self):
+        digest = hashlib.sha256()
+        state, observation = env.reset(20240517)
+        for _ in range(cal.EPISODE_LENGTH):
+            action = env.heuristic_policy(observation, random.Random(0))
+            state, observation, reward = env.step(state, action)
+            record = env.StepRecord(action=action, reward=reward, observation=observation)
+            level = observation.analysed_level
+            digest.update(
+                f"{env.format_step_record(record)}"
+                f" analysed={observation.analysed_host}:{None if level is None else int(level)}\n"
+                .encode()
+            )
+        digest.update(repr((_host_levels(state), state.rng_state)).encode())
+        assert env.is_terminal(state)
+        assert digest.hexdigest() == (
+            "fb4ea49a3681197c16de1d377a06c85d29c60014a264c570745ee6439fa454b7"
+        )
+
+    def test_attacker_transition_digest(self):
+        digest = hashlib.sha256()
+        state, _ = env.reset(4242)
+        for _ in range(12):
+            state = env.attacker_transition(state)
+            digest.update(
+                repr((_host_levels(state), int(state.attacker.phase), state.rng_state)).encode()
+            )
+        assert digest.hexdigest() == (
+            "2e9295c399772da3120975bcc7b719a70626ae39ee1983e0da7e181ff2cdb8f1"
+        )
+
+    def test_step_leaves_input_state_usable(self):
+        state, _ = env.reset(5)
+        action = BlueAction(ActionKind.ANALYSE, 0)
+        first = env.step(state, action)
+        assert env.step(state, action) == first

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from forge.cli import main
 from forge.metrics import make_reference_penalty_log, write_penalty_log
 
@@ -48,6 +50,17 @@ class TestRunVerb:
         config = write_config(tmp_path, "instances: 0\n")
         code = main(["run", "--config", str(config), "--run-dir", str(tmp_path / "s")])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["lots", "2.9", "true", "0"])
+    def test_bad_max_workers_is_config_error(self, tmp_path, value):
+        config = write_config(tmp_path, CONFIG + f"max_workers: {value}\n")
+        run_dir = tmp_path / "s"
+        assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+        assert not run_dir.exists()
+
+    def test_null_max_workers_runs(self, tmp_path):
+        config = write_config(tmp_path, CONFIG + "max_workers: null\n")
+        assert main(["run", "--config", str(config), "--run-dir", str(tmp_path / "s")]) == 0
 
 
 class TestAnalyzeTrigger:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +238,19 @@ class TestReplaceDynamic:
         memory.append(rule(5))
         assert [a.clause.host for a in src.dynamic[Role.PLANNER]] == [1]
 
+    def test_list_copy_isolates_both_sides(self):
+        src = InstanceMemory(persistent=default_persistent(), capacity=2)
+        src.append(rule(1))
+        src.append(rule(2))
+        dst = InstanceMemory(persistent=default_persistent(), capacity=2)
+        mem.replace_dynamic(dst, src)
+        dst.append(rule(3))  # evicts rule 1 from dst only
+        dst.append(example(4, role=Role.ANALYST))
+        assert [a.clause.host for a in src.dynamic[Role.PLANNER]] == [1, 2]
+        assert src.dynamic[Role.ANALYST] == []
+        src.append(rule(5))
+        assert [a.clause.host for a in dst.dynamic[Role.PLANNER]] == [2, 3]
+
     def test_idempotent(self, memory):
         src = default_memory()
         src.append(rule(1))
@@ -280,3 +296,36 @@ class TestInvariants:
         for host in range(25):
             memory.append(rule(host % 13))
         assert persistent_blob(memory) == before
+
+
+class TestContentHash:
+    def test_is_sha256_of_canonical_json(self, memory):
+        memory.persistent[Role.ANALYST] = "Prüfe den Host – sofort."
+        memory.append(rule(1))
+        memory.append(example(2, role=Role.ANALYST))
+        canonical = json.dumps(
+            memory.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        )
+        assert "Prüfe" in canonical
+        assert memory.content_hash() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def test_equal_for_clone(self, memory):
+        memory.append(rule(1))
+        memory.append(example(2))
+        assert memory.clone().content_hash() == memory.content_hash()
+
+    def test_equal_after_workspace_round_trip(self, memory, tmp_path):
+        memory.append(rule(1))
+        memory.append(example(2))
+        memory.append(rule(3, role=Role.ACTION_CHOOSER))
+        mem.save_workspace(memory, tmp_path)
+        loaded = mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
+        assert loaded.content_hash() == memory.content_hash()
+
+    def test_order_within_a_role_matters(self, memory):
+        swapped = memory.clone()
+        memory.append(rule(1))
+        memory.append(rule(2))
+        swapped.append(rule(2))
+        swapped.append(rule(1))
+        assert memory.content_hash() != swapped.content_hash()

@@ -226,6 +226,31 @@ class TestAggregate:
         assert "graduation stage distribution" in text
         assert "best/rules" in text
 
+    def test_render_keeps_stages_beyond_six(self, tmp_path):
+        distribution = {f"S{s}": 0 for s in range(1, 9)}
+        distribution.update({"S2": 1, "S7": 2, "S8": 3, "never": 4})
+        report = {
+            "config": {"transfer_strategy": "best", "representation": "rules", "instances": 10},
+            "eval_returns": {str(i): [-10.0] for i in range(1, 11)},
+            "checkpoint_history": {str(i): [-10.0] * 8 for i in range(1, 11)},
+            "graduation_stage": {},
+            "graduation_distribution": distribution,
+            "tokens": {
+                "adaptation": {"prompt": 0, "completion": 0},
+                "evaluation": {"prompt": 0, "completion": 0},
+            },
+            "aborted_attempts": 0,
+            "artifacts_created": 0,
+        }
+        session = tmp_path / "eight_stages"
+        session.mkdir()
+        (session / "final_report.json").write_text(json.dumps(report))
+        lines = render_aggregate_table(aggregate([session])).splitlines()
+        header = lines[lines.index("graduation stage distribution") + 1].split()
+        assert header[1:] == [f"S{s}" for s in range(1, 9)] + ["never"]
+        row = lines[lines.index("graduation stage distribution") + 2].split()
+        assert row[1:] == ["0", "1", "0", "0", "0", "0", "2", "3", "4"]
+
 
 class TestSweep:
     def test_two_thresholds_two_summaries_deterministic(self, tmp_path):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
 from conftest import MonitorBackend, ScriptedRewardEnv
-from forge.agents import default_memory
-from forge.llm_connector import ConnectorError
+from forge.agents import LLMBackend, ScriptedBackend, default_memory, mock_responder
+from forge.llm_connector import ChatMessage, ChatRequest, ConnectorError, HttpConnector
 from forge.memory import Representation, Role
 from forge.protocol import (
     CHECKPOINT_FAILED,
@@ -50,6 +52,7 @@ class TestConfig:
             {"failure_trigger": 0.5},
             {"eval_episodes_per_instance": 0},
             {"backend": "quantum"},
+            {"max_workers": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -92,6 +95,23 @@ class TestConfig:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
+
+    @pytest.mark.parametrize("value", ["'four'", "2.9", "2.0", "true", "0", "-3", "[2]"])
+    def test_bad_max_workers_rejected(self, tmp_path, value):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"max_workers: {value}\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("max_workers: null\n", None), ("max_workers:\n", None), ("instances: 3\n", None),
+         ("max_workers: 3\n", 3)],
+    )
+    def test_max_workers_loaded(self, tmp_path, text, expected):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        assert load_config(path).max_workers == expected
 
     def test_load_config_bad_representation(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -373,3 +393,63 @@ class TestZeroShot:
         trained = run_protocol(config).report.pooled_returns()
         zero = [r for rs in evaluate_zero_shot(config).values() for r in rs]
         assert sum(trained) / len(trained) > sum(zero) / len(zero)
+
+
+def _record_decide_threads(monkeypatch, backend_cls) -> list[int]:
+    threads: list[int] = []
+    original = backend_cls.decide
+
+    def decide(self, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(backend_cls, "decide", decide)
+    return threads
+
+
+def _delayed_mock_transport(url, headers, payload):
+    request = ChatRequest(
+        model=payload["model"],
+        messages=tuple(ChatMessage(m["role"], m["content"]) for m in payload["messages"]),
+        temperature=payload["temperature"],
+        max_output_tokens=payload["max_tokens"],
+    )
+    content = mock_responder(request)
+    time.sleep(0.001)
+    return 200, {
+        "choices": [{"message": {"content": content}}],
+        "usage": {"prompt_tokens": 1, "completion_tokens": 1},
+    }
+
+
+class TestStageWorkers:
+    """Offline backends train on one worker; only network waits get more."""
+
+    @staticmethod
+    def _stage_threads(threads: list[int]) -> set[int]:
+        # Final evaluation runs on the calling thread; stage work never does.
+        return set(threads) - {threading.get_ident()}
+
+    @pytest.mark.parametrize("backend, backend_cls", [
+        ("scripted", ScriptedBackend),
+        ("mock", LLMBackend),
+    ])
+    def test_offline_backend_uses_one_worker(self, monkeypatch, backend, backend_cls):
+        threads = _record_decide_threads(monkeypatch, backend_cls)
+        run_protocol(small_config(backend=backend, instances=4, stages=1))
+        assert threads
+        assert len(self._stage_threads(threads)) == 1
+
+    def test_http_connector_uses_several_workers(self, monkeypatch):
+        threads = _record_decide_threads(monkeypatch, LLMBackend)
+        connector = HttpConnector(base_url="http://provider.invalid", transport=_delayed_mock_transport)
+        run_protocol(
+            small_config(instances=3, stages=1, attempts_per_stage=1, eval_episodes_per_instance=1),
+            connector=connector,
+        )
+        assert len(self._stage_threads(threads)) > 1
+
+    def test_explicit_max_workers_honoured(self, monkeypatch):
+        threads = _record_decide_threads(monkeypatch, ScriptedBackend)
+        run_protocol(small_config(backend="scripted", instances=4, stages=1, max_workers=4))
+        assert len(self._stage_threads(threads)) > 1
