@@ -17,10 +17,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
-
-import yaml
 
 from .cage_lite import (
     ActionKind,
@@ -32,7 +29,7 @@ from .cage_lite import (
     format_step_record,
     subnet_of,
 )
-from .llm_connector import ChatMessage, ChatRequest, ChatResponse, RequestMeta
+from .llm_connector import ChatMessage, ChatRequest, ChatResponse, RequestMeta, TokenLedger
 from .memory import (
     ACTING_ROLES,
     ACTION_TABLE_MARKER,
@@ -61,6 +58,11 @@ class RoleConfigError(ValueError):
     """A role definition violates the protocol's sampling constraints."""
 
 
+def output_token_cap(role: Role) -> int:
+    """Learning agents may write twice as much as acting ones."""
+    return ACTING_MAX_OUTPUT_TOKENS if role in ACTING_ROLES else LEARNING_MAX_OUTPUT_TOKENS
+
+
 @dataclass(frozen=True)
 class AgentRoleConfig:
     role: Role
@@ -71,11 +73,7 @@ class AgentRoleConfig:
     def __post_init__(self) -> None:
         if self.temperature != 0.0:
             raise RoleConfigError(f"{self.role.value}: protocol roles run at temperature 0")
-        cap = (
-            LEARNING_MAX_OUTPUT_TOKENS
-            if self.role in (Role.REFLECTOR, Role.EXEMPLIFIER)
-            else ACTING_MAX_OUTPUT_TOKENS
-        )
+        cap = output_token_cap(self.role)
         if not 0 < self.max_output_tokens <= cap:
             raise RoleConfigError(
                 f"{self.role.value}: max_output_tokens must be in (0, {cap}]"
@@ -121,54 +119,12 @@ _DEFAULT_SYSTEM_PROMPTS: dict[Role, str] = {
 
 
 def default_role_configs() -> dict[Role, AgentRoleConfig]:
-    configs = {}
-    for role, prompt in _DEFAULT_SYSTEM_PROMPTS.items():
-        cap = (
-            LEARNING_MAX_OUTPUT_TOKENS
-            if role in (Role.REFLECTOR, Role.EXEMPLIFIER)
-            else ACTING_MAX_OUTPUT_TOKENS
+    return {
+        role: AgentRoleConfig(
+            role=role, system_prompt=prompt, max_output_tokens=output_token_cap(role)
         )
-        configs[role] = AgentRoleConfig(role=role, system_prompt=prompt, max_output_tokens=cap)
-    return configs
-
-
-def load_role_configs(directory: str | Path) -> dict[Role, AgentRoleConfig]:
-    """Load per-role definition files (``<role>.yaml``), falling back to defaults."""
-    directory = Path(directory)
-    configs = default_role_configs()
-    for role in Role:
-        path = directory / f"{role.value}.yaml"
-        if not path.exists():
-            continue
-        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-        configs[role] = AgentRoleConfig(
-            role=role,
-            system_prompt=str(raw.get("system_prompt", configs[role].system_prompt)),
-            temperature=float(raw.get("temperature", 0.0)),
-            max_output_tokens=int(raw.get("max_output_tokens", configs[role].max_output_tokens)),
-        )
-    return configs
-
-
-def load_role_definitions(
-    directory: str | Path,
-) -> tuple[dict[Role, AgentRoleConfig], dict[Role, str]]:
-    """Role configs plus per-role persistent memory from definition files.
-
-    Acting-role files (``<role>.yaml``) may carry a ``persistent_memory``
-    key; roles without one keep the built-in persistent text.
-    """
-    directory = Path(directory)
-    configs = load_role_configs(directory)
-    persistent = default_persistent()
-    for role in ACTING_ROLES:
-        path = directory / f"{role.value}.yaml"
-        if not path.exists():
-            continue
-        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-        if "persistent_memory" in raw:
-            persistent[role] = str(raw["persistent_memory"])
-    return configs, persistent
+        for role, prompt in _DEFAULT_SYSTEM_PROMPTS.items()
+    }
 
 
 def default_persistent() -> dict[Role, str]:
@@ -242,11 +198,7 @@ def severity_of_flags(anomalous: bool, suspicious: bool, new_file: bool) -> str:
 
 def clause_matches(clause: Clause, observation: Observation) -> bool:
     anomalous, suspicious, new_file = observation.flags(clause.host)
-    confirmed = (
-        observation.analysed_host == clause.host
-        and observation.analysed_level is not None
-        and observation.analysed_level >= CompromiseLevel.USER_ACCESS
-    )
+    confirmed = observation.confirmed_host() == clause.host
     if clause.trigger == "compromised":
         return anomalous or suspicious or new_file or confirmed
     if clause.trigger == "anomalous_process":
@@ -268,19 +220,24 @@ def make_artifact_id(kind: ArtifactKind, origin: Origin, seq: int) -> str:
     return f"{kind.value}-i{origin.instance:02d}-s{origin.stage:02d}-a{origin.attempt:02d}-{seq}"
 
 
+def _flag_text(observation: Observation, host: int) -> str:
+    anomalous, suspicious, new_file = observation.flags(host)
+    return (
+        f"anomalous_process={int(anomalous)} suspicious_connection={int(suspicious)}"
+        f" new_file={int(new_file)}"
+    )
+
+
+def _host_line(observation: Observation, host: int) -> str:
+    return f"host={host} subnet={subnet_of(host).value} {_flag_text(observation, host)}"
+
+
 def serialize_observation(observation: Observation) -> str:
     lines = [f"step={observation.step_index}"]
     flagged = observation.flagged_hosts()
     if not flagged:
         lines.append("no hosts flagged")
-    for host in flagged:
-        anomalous, suspicious, new_file = observation.flags(host)
-        lines.append(
-            f"host={host} subnet={subnet_of(host).value}"
-            f" anomalous_process={int(anomalous)}"
-            f" suspicious_connection={int(suspicious)}"
-            f" new_file={int(new_file)}"
-        )
+    lines.extend(_host_line(observation, host) for host in flagged)
     if observation.analysed_host is not None:
         level = "inconclusive" if observation.analysed_level is None else observation.analysed_level.name.lower()
         lines.append(f"analysed host={observation.analysed_host} level={level}")
@@ -321,6 +278,8 @@ class ScriptedBackend:
 
     def __init__(self, representation: Representation = Representation.MIXED):
         self.representation = representation
+        # Scripted decisions make no completions; this stays empty.
+        self.ledger = TokenLedger()
 
     # -- acting ------------------------------------------------------------
 
@@ -339,11 +298,8 @@ class ScriptedBackend:
                 )
 
         calls: list[SubagentCall] = []
-        if (
-            observation.analysed_level is not None
-            and observation.analysed_level >= CompromiseLevel.USER_ACCESS
-        ):
-            host = observation.analysed_host
+        host = observation.confirmed_host()
+        if host is not None:
             context = {"host": host, "severity": "high", "situation": "confirmed"}
             ranking = self.rank_actions(context, memory)
             calls.append(
@@ -378,22 +334,14 @@ class ScriptedBackend:
     ) -> Analysis:
         anomalous, suspicious, new_file = observation.flags(host)
         severity = severity_of_flags(anomalous, suspicious, new_file)
-        if (
-            observation.analysed_host == host
-            and observation.analysed_level is not None
-            and observation.analysed_level >= CompromiseLevel.USER_ACCESS
-        ):
+        if observation.confirmed_host() == host:
             severity = "high"
         cited = [
             a.artifact_id or "<unnamed>"
             for a in memory.artifacts(self.representation, role=Role.ANALYST)
             if a.clause is not None and a.clause.host == host
         ]
-        flags_text = (
-            f"anomalous_process={int(anomalous)} suspicious_connection={int(suspicious)}"
-            f" new_file={int(new_file)}"
-        )
-        summary = f"host {host}: {flags_text}"
+        summary = f"host {host}: {_flag_text(observation, host)}"
         if cited:
             summary += f" (see {', '.join(cited)})"
         focus = {
@@ -566,14 +514,15 @@ class LLMBackend:
     def __init__(
         self,
         connector,
-        role_configs: dict[Role, AgentRoleConfig] | None = None,
         representation: Representation = Representation.MIXED,
         model: str = "mock-chat",
     ):
         self.connector = connector
-        self.role_configs = role_configs or default_role_configs()
+        self.role_configs = default_role_configs()
         self.representation = representation
         self.model = model
+        # Usage of every completion made through this backend.
+        self.ledger = TokenLedger()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -594,7 +543,10 @@ class LLMBackend:
             temperature=config.temperature,
             max_output_tokens=config.max_output_tokens,
         )
-        return self.connector.complete(request, meta=ctx.meta(role))
+        meta = ctx.meta(role)
+        response = self.connector.complete(request, meta=meta)
+        self.ledger.record(meta, response.usage)
+        return response
 
     # -- acting ------------------------------------------------------------
 
@@ -669,16 +621,9 @@ class LLMBackend:
         ctx: CallContext | None = None,
     ) -> Analysis:
         ctx = ctx or CallContext()
-        anomalous, suspicious, new_file = observation.flags(host)
-        user = (
-            f"host={host} subnet={subnet_of(host).value}"
-            f" anomalous_process={int(anomalous)}"
-            f" suspicious_connection={int(suspicious)}"
-            f" new_file={int(new_file)}"
-        )
         messages = [
             ChatMessage("system", self._system_prompt(Role.ANALYST, memory)),
-            ChatMessage("user", user),
+            ChatMessage("user", _host_line(observation, host)),
         ]
         text = self._complete(Role.ANALYST, messages, ctx).content
         severity_match = _SEVERITY_RE.search(text)

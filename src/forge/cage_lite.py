@@ -71,15 +71,6 @@ def subnet_of(index: int) -> Subnet:
 
 
 @dataclass(frozen=True, slots=True)
-class HostId:
-    index: int
-    subnet: Subnet
-
-
-HOSTS: tuple[HostId, ...] = tuple(HostId(i, subnet_of(i)) for i in range(cal.HOST_COUNT))
-
-
-@dataclass(frozen=True, slots=True)
 class HostCompromise:
     level: CompromiseLevel = CompromiseLevel.CLEAN
     decoy_present: bool = False
@@ -138,6 +129,13 @@ class Observation:
 
     def flagged_hosts(self) -> list[int]:
         return [h for h in range(cal.HOST_COUNT) if any(self.flags(h))]
+
+    def confirmed_host(self) -> int | None:
+        """The analysed host, if the inspection found at least user access."""
+        level = self.analysed_level
+        if level is not None and level >= CompromiseLevel.USER_ACCESS:
+            return self.analysed_host
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -437,11 +435,9 @@ def heuristic_policy(observation: Observation, rng: random.Random) -> BlueAction
     positives on low-index workstations routinely delay the inspection of
     the servers that actually matter.
     """
-    if (
-        observation.analysed_level is not None
-        and observation.analysed_level >= CompromiseLevel.USER_ACCESS
-    ):
-        return BlueAction(ActionKind.RESTORE, observation.analysed_host)
+    confirmed = observation.confirmed_host()
+    if confirmed is not None:
+        return BlueAction(ActionKind.RESTORE, confirmed)
     flagged = observation.flagged_hosts()
     if flagged:
         return BlueAction(ActionKind.ANALYSE, flagged[0])

@@ -98,13 +98,22 @@ def _cmd_baselines(args: argparse.Namespace) -> int:
         "heuristic": cal.REFERENCE_HEURISTIC_RETURN,
     }
     print(f"{args.episodes} episodes per policy, base seed {args.base_seed}")
-    print(f"{'policy':<10s} {'mean':>10s} {'sd':>8s} {'target':>10s} {'offset':>8s}")
+    print(
+        f"{'policy':<10s} {'mean':>10s} {'sd':>8s} {'target':>10s} {'offset':>8s}"
+        f" {'window (target +/-25%)':>24s}"
+    )
     for name, target in targets.items():
         returns = baseline_returns(name, args.episodes, args.base_seed)
         mean = statistics.fmean(returns)
         sd = statistics.stdev(returns) if len(returns) > 1 else 0.0
         offset = (mean - target) / abs(target)
-        print(f"{name:<10s} {mean:>10.2f} {sd:>8.2f} {target:>10.2f} {offset:>8.1%}")
+        # Targets are negative returns, so 1.25x is the low end of the window.
+        low, high = 1.25 * target, 0.75 * target
+        inside = "ok" if low <= mean <= high else "OUT"
+        print(
+            f"{name:<10s} {mean:>10.2f} {sd:>8.2f} {target:>10.2f} {offset:>8.1%}"
+            f" [{low:8.2f},{high:8.2f}] {inside:>3s}"
+        )
     return 0
 
 

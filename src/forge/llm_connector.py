@@ -87,7 +87,7 @@ class RequestMeta:
     phase: str  # "adaptation" | "evaluation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenLogEntry:
     timestamp: float
     instance: int

@@ -28,7 +28,6 @@ class Role(Enum):
 
 
 ACTING_ROLES: tuple[Role, ...] = (Role.PLANNER, Role.ANALYST, Role.ACTION_CHOOSER)
-LEARNING_ROLES: tuple[Role, ...] = (Role.REFLECTOR, Role.EXEMPLIFIER)
 
 
 class ArtifactKind(Enum):
@@ -55,14 +54,6 @@ class ArtifactValidationError(ValueError):
 
 class MemoryProtocolError(RuntimeError):
     """A memory operation broke a protocol precondition."""
-
-
-class MemoryFormatError(ValueError):
-    """Serialized memory could not be parsed."""
-
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 # Marker carried by the action reference table; the planner's persistent
@@ -272,19 +263,10 @@ class InstanceMemory:
         }
 
 
-def append_artifact(memory: InstanceMemory, artifact: MemoryArtifact) -> InstanceMemory:
-    memory.append(artifact)
-    return memory
-
-
 def apply_delta(memory: InstanceMemory, delta: MemoryDelta) -> InstanceMemory:
     for artifact in delta.additions:
         memory.append(artifact)
     return memory
-
-
-def render_injection(memory: InstanceMemory, role: Role, representation: Representation) -> str:
-    return memory.render(role, representation)
 
 
 def replace_dynamic(dst: InstanceMemory, src: InstanceMemory) -> InstanceMemory:
@@ -297,35 +279,6 @@ def replace_dynamic(dst: InstanceMemory, src: InstanceMemory) -> InstanceMemory:
         raise MemoryProtocolError("cannot broadcast between instances with different persistent memory")
     dst.dynamic = {role: list(items) for role, items in src.dynamic.items()}
     return dst
-
-
-def save(memory: InstanceMemory) -> bytes:
-    return yaml.safe_dump(memory.to_dict(), sort_keys=True, allow_unicode=True).encode("utf-8")
-
-
-def load(data: bytes) -> InstanceMemory:
-    try:
-        raw = yaml.safe_load(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MemoryFormatError("memory bytes are not valid UTF-8", exc.start) from exc
-    except yaml.YAMLError as exc:
-        offset = 0
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            offset = mark.index
-        raise MemoryFormatError(f"memory text is not valid YAML: {exc}", offset) from exc
-    if not isinstance(raw, dict):
-        raise MemoryFormatError("memory document must be a mapping")
-    try:
-        persistent = {Role(k): str(v) for k, v in raw["persistent"].items()}
-        dynamic = {
-            Role(k): [MemoryArtifact.from_dict(a) for a in items]
-            for k, items in raw["dynamic"].items()
-        }
-        capacity = int(raw["capacity"])
-    except (KeyError, TypeError, ValueError, ArtifactValidationError) as exc:
-        raise MemoryFormatError(f"memory document malformed: {exc}") from exc
-    return InstanceMemory(persistent=persistent, dynamic=dynamic, capacity=capacity)
 
 
 # On-disk layout mirrors the per-role knowledge files consumed as prompt

@@ -222,36 +222,29 @@ def sweep_tau(
     taus: list[float],
     out_dir: str | Path | None = None,
     connector=None,
-    parallel: bool = False,
 ) -> list[SweepEntry]:
     """Run the protocol once per threshold with a shared base seed.
 
     Each threshold is isolated: one failing run is recorded as an error
-    entry without aborting the rest of the sweep. Runs are sequential by
-    default; ``parallel=True`` runs them concurrently, which is safe because
-    every run owns a distinct run directory and shares no state.
+    entry without aborting the rest of the sweep. Runs are sequential; each
+    counts its own tokens even when they share one ``connector``.
     """
     if any(t >= 0 for t in taus):
         raise ValueError("all sweep thresholds must be negative")
 
-    def one(tau: float) -> SweepEntry:
+    entries = []
+    for tau in taus:
         run_config = replace(config, failure_trigger=tau)
         run_dir = None
         if out_dir is not None:
             run_dir = Path(out_dir) / f"tau_{tau:+.1f}".replace("+", "")
         try:
             result = run_protocol(run_config, run_dir=run_dir, connector=connector)
-            return SweepEntry(tau=tau, summary=summarize_report(result.report.to_dict()))
+            entries.append(SweepEntry(tau=tau, summary=summarize_report(result.report.to_dict())))
         except (RunError, OSError) as exc:
             logger.warning("sweep entry tau=%s failed: %s", tau, exc)
-            return SweepEntry(tau=tau, summary=None, error=str(exc))
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(len(taus), 4)) as executor:
-            return list(executor.map(one, taus))
-    return [one(tau) for tau in taus]
+            entries.append(SweepEntry(tau=tau, summary=None, error=str(exc)))
+    return entries
 
 
 def render_sweep_table(entries: list[SweepEntry]) -> str:

@@ -15,9 +15,11 @@ import os
 import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -38,8 +40,10 @@ logger = logging.getLogger(__name__)
 
 
 class Condition(Enum):
-    FORGE = "forge"
-    REFLEXION = "reflexion"
+    """Where an instance's learned memory comes from; values are ``transfer_strategy``."""
+
+    FORGE = "best"  # champion broadcast
+    REFLEXION = "individual"  # isolated reflexion
 
 
 class ConfigError(ValueError):
@@ -76,99 +80,66 @@ class ProtocolConfig:
     max_workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.instances < 1:
-            raise ConfigError("instances must be >= 1")
-        if self.stages < 1:
-            raise ConfigError("stages must be >= 1")
-        if self.attempts_per_stage < 1:
-            raise ConfigError("attempts_per_stage must be >= 1")
+        for name in (
+            "instances",
+            "stages",
+            "attempts_per_stage",
+            "eval_episodes_per_instance",
+            "memory_capacity",
+            "max_workers",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.failure_trigger >= 0:
             raise ConfigError("failure_trigger must be negative")
-        if self.eval_episodes_per_instance < 1:
-            raise ConfigError("eval_episodes_per_instance must be >= 1")
-        if self.memory_capacity < 1:
-            raise ConfigError("memory_capacity must be >= 1")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigError("max_workers must be >= 1")
         if self.backend not in ("scripted", "mock", "http"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
 
 
-_CONFIG_KEYS = {
-    "transfer_strategy",
-    "instances",
-    "stages",
-    "attempts_per_stage",
-    "failure_trigger",
-    "graduation_threshold",
-    "graduation_enabled",
-    "representation",
-    "backend",
-    "model",
-    "base_seed",
-    "eval_episodes_per_instance",
-    "memory_capacity",
-    "max_workers",
-}
+# ``condition`` is the one field stored under another key in config files.
+_RENAMED = {"condition": "transfer_strategy"}
+
+# Config-file key -> (field name, type), derived from the dataclass.
+_HINTS = get_type_hints(ProtocolConfig)
+_SCHEMA = {_RENAMED.get(f.name, f.name): (f.name, _HINTS[f.name]) for f in fields(ProtocolConfig)}
+
+
+def _parse_value(key: str, hint, value):
+    """Check ``value`` against a field type; ints widen to float, nothing else converts."""
+    if isinstance(hint, UnionType):  # ``T | None``
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if issubclass(hint, Enum):
+        choices = [member.value for member in hint]
+        if value not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        return hint(value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"{key} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ProtocolConfig:
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_SCHEMA)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
     kwargs = {}
-    strategy = raw.get("transfer_strategy", "best")
-    if strategy not in ("best", "individual"):
-        raise ConfigError("transfer_strategy must be 'best' or 'individual'")
-    kwargs["condition"] = Condition.FORGE if strategy == "best" else Condition.REFLEXION
-    if "representation" in raw:
-        try:
-            kwargs["representation"] = Representation(str(raw["representation"]).lower())
-        except ValueError as exc:
-            raise ConfigError(f"unknown representation: {raw['representation']!r}") from exc
-    for key, caster in (
-        ("instances", int),
-        ("stages", int),
-        ("attempts_per_stage", int),
-        ("failure_trigger", float),
-        ("graduation_threshold", float),
-        ("graduation_enabled", bool),
-        ("backend", str),
-        ("model", str),
-        ("base_seed", int),
-        ("eval_episodes_per_instance", int),
-        ("memory_capacity", int),
-    ):
-        if key in raw:
-            try:
-                kwargs[key] = caster(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
-    workers = raw.get("max_workers")
-    if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise ConfigError(f"max_workers must be an integer, got {workers!r}")
-        kwargs["max_workers"] = workers
+    for key, value in raw.items():
+        name, hint = _SCHEMA[key]
+        kwargs[name] = _parse_value(key, hint, value)
     return ProtocolConfig(**kwargs)
 
 
 def config_to_dict(config: ProtocolConfig) -> dict:
-    return {
-        "transfer_strategy": "best" if config.condition is Condition.FORGE else "individual",
-        "instances": config.instances,
-        "stages": config.stages,
-        "attempts_per_stage": config.attempts_per_stage,
-        "failure_trigger": config.failure_trigger,
-        "graduation_threshold": config.graduation_threshold,
-        "graduation_enabled": config.graduation_enabled,
-        "representation": config.representation.value,
-        "backend": config.backend,
-        "model": config.model,
-        "base_seed": config.base_seed,
-        "eval_episodes_per_instance": config.eval_episodes_per_instance,
-        "memory_capacity": config.memory_capacity,
-        "max_workers": config.max_workers,
-    }
+    out = {}
+    for key, (name, _) in _SCHEMA.items():
+        value = getattr(config, name)
+        out[key] = value.value if isinstance(value, Enum) else value
+    return out
 
 
 def load_config(path: str | Path) -> ProtocolConfig:
@@ -186,29 +157,32 @@ def load_config(path: str | Path) -> ProtocolConfig:
     return config_from_dict(raw)
 
 
-def build_backend(config: ProtocolConfig, ledger: TokenLedger, connector=None):
-    """Backend selection; an explicit connector overrides the config choice."""
-    if connector is not None:
-        return LLMBackend(
-            connector, representation=config.representation, model=config.model
-        )
-    if config.backend == "scripted":
+def build_backend(config: ProtocolConfig, connector=None):
+    """Backend selection; an explicit connector overrides the config choice.
+
+    The backend's own ``ledger`` counts the tokens of the run it serves, so
+    a connector built here gets none of its own and nothing is counted twice.
+    """
+    if connector is None and config.backend == "scripted":
         return ScriptedBackend(representation=config.representation)
-    if config.backend == "mock":
-        mock = MockConnector(responder=mock_responder, ledger=ledger)
-        return LLMBackend(mock, representation=config.representation, model=config.model)
-    base_url = os.environ.get("FORGE_BASE_URL", "")
-    if not base_url:
-        raise ConfigError("http backend requires FORGE_BASE_URL in the environment")
-    http = HttpConnector(
-        base_url=base_url, api_key=os.environ.get("FORGE_API_KEY", ""), ledger=ledger
-    )
-    return LLMBackend(http, representation=config.representation, model=config.model)
+    if connector is None and config.backend == "mock":
+        connector = MockConnector(responder=mock_responder)
+    elif connector is None:
+        base_url = os.environ.get("FORGE_BASE_URL", "")
+        if not base_url:
+            raise ConfigError("http backend requires FORGE_BASE_URL in the environment")
+        connector = HttpConnector(base_url=base_url, api_key=os.environ.get("FORGE_API_KEY", ""))
+    return LLMBackend(connector, representation=config.representation, model=config.model)
 
 
 # ---------------------------------------------------------------------------
 # Results
 # ---------------------------------------------------------------------------
+
+
+def _str_keys(by_instance: dict[int, object]) -> dict[str, object]:
+    """A per-instance mapping in instance order, keyed by strings as in JSON."""
+    return {str(k): v for k, v in sorted(by_instance.items())}
 
 
 @dataclass(frozen=True)
@@ -246,10 +220,8 @@ class StageReport:
             "checkpoints": [c.to_dict() for c in self.checkpoints],
             "champion": self.champion,
             "graduated_after": self.graduated_after,
-            "memory_hashes": {str(k): v for k, v in sorted(self.memory_hashes.items())},
-            "tokens_by_instance": {
-                str(k): v for k, v in sorted(self.tokens_by_instance.items())
-            },
+            "memory_hashes": _str_keys(self.memory_hashes),
+            "tokens_by_instance": _str_keys(self.tokens_by_instance),
             "aborted_attempts": self.aborted_attempts,
             "artifacts_created": self.artifacts_created,
         }
@@ -286,21 +258,13 @@ class FinalReport:
         return {
             "config": self.config,
             "stage_reports": [s.to_dict() for s in self.stage_reports],
-            "eval_returns": {str(k): v for k, v in sorted(self.eval_returns.items())},
-            "graduation_stage": {
-                str(k): v for k, v in sorted(self.graduation_stage.items())
-            },
+            "eval_returns": _str_keys(self.eval_returns),
+            "graduation_stage": _str_keys(self.graduation_stage),
             "graduation_distribution": self.graduation_distribution(),
-            "memory_hash_final": {
-                str(k): v for k, v in sorted(self.memory_hash_final.items())
-            },
-            "checkpoint_history": {
-                str(k): v for k, v in sorted(self.checkpoint_history.items())
-            },
+            "memory_hash_final": _str_keys(self.memory_hash_final),
+            "checkpoint_history": _str_keys(self.checkpoint_history),
             "tokens": self.tokens,
-            "tokens_by_instance": {
-                str(k): v for k, v in sorted(self.tokens_by_instance.items())
-            },
+            "tokens_by_instance": _str_keys(self.tokens_by_instance),
             "aborted_attempts": self.aborted_attempts,
             "artifacts_created": self.artifacts_created,
         }
@@ -416,8 +380,8 @@ def run_protocol(
     connector=None,
     config_source: str | Path | None = None,
 ) -> RunResult:
-    ledger = TokenLedger()
-    backend = build_backend(config, ledger, connector=connector)
+    backend = build_backend(config, connector=connector)
+    ledger = backend.ledger
     events = _EventLog()
     population = [
         InstanceState(instance=i, memory=default_memory(config.memory_capacity))
@@ -525,8 +489,6 @@ def _run_stages(
     checkpoint_history: dict[int, list[float | None]] = {
         p.instance: [] for p in population
     }
-    total_aborted = 0
-    total_artifacts = 0
 
     with ThreadPoolExecutor(max_workers=_stage_workers(config, backend)) as executor:
         for stage in range(1, config.stages + 1):
@@ -541,27 +503,17 @@ def _run_stages(
             # has finished its attempts and its checkpoint.
             outcomes = {i: f.result() for i, f in futures.items()}
 
-            results = []
-            stage_aborted = 0
-            stage_artifacts = 0
-            for p in sorted(active, key=lambda s: s.instance):
-                summaries, score = outcomes[p.instance]
-                stage_aborted += sum(1 for s in summaries if s.status == "aborted")
-                stage_artifacts += sum(s.artifacts_added for s in summaries)
-                results.append(
-                    CheckpointResult(instance=p.instance, stage=stage, episode_return=score)
-                )
-            total_aborted += stage_aborted
-            total_artifacts += stage_artifacts
+            summaries = [s for i in sorted(outcomes) for s in outcomes[i][0]]
+            results = [
+                CheckpointResult(instance=i, stage=stage, episode_return=outcomes[i][1])
+                for i in sorted(outcomes)
+            ]
 
+            # Reported returns: None for a failed checkpoint and for graduates,
+            # which no longer checkpoint.
+            returns = {r.instance: r.to_dict()["return"] for r in results}
             for p in population:
-                if p.graduated_at is None:
-                    score = outcomes[p.instance][1]
-                    checkpoint_history[p.instance].append(
-                        None if score == CHECKPOINT_FAILED else score
-                    )
-                else:
-                    checkpoint_history[p.instance].append(None)
+                checkpoint_history[p.instance].append(returns.get(p.instance))
 
             if config.graduation_enabled:
                 new_graduates = graduate_set(results, config.graduation_threshold, graduated)
@@ -592,8 +544,8 @@ def _run_stages(
                 graduated_after=sorted(graduated),
                 memory_hashes=memory_hashes,
                 tokens_by_instance=tokens_by_instance,
-                aborted_attempts=stage_aborted,
-                artifacts_created=stage_artifacts,
+                aborted_attempts=sum(1 for s in summaries if s.status == "aborted"),
+                artifacts_created=sum(s.artifacts_added for s in summaries),
             )
             stage_reports.append(report)
 
@@ -612,15 +564,7 @@ def _run_stages(
                         / "memory",
                     )
 
-    eval_returns: dict[int, list[float]] = {}
-    for p in population:
-        ctx = CallContext(instance=p.instance, phase=PHASE_EVALUATION)
-        returns = []
-        for episode in range(1, config.eval_episodes_per_instance + 1):
-            seed = derive_seed(config.base_seed, "eval", p.instance, episode)
-            returns.append(run_frozen_episode(p.memory, seed, backend, ctx=ctx))
-        eval_returns[p.instance] = returns
-
+    eval_returns = evaluate({p.instance: p.memory for p in population}, config, backend)
     report = FinalReport(
         config=config_to_dict(config),
         stage_reports=stage_reports,
@@ -635,8 +579,8 @@ def _run_stages(
         tokens_by_instance={
             p.instance: _usage_dict(ledger, instance=p.instance) for p in population
         },
-        aborted_attempts=total_aborted,
-        artifacts_created=total_artifacts,
+        aborted_attempts=sum(r.aborted_attempts for r in stage_reports),
+        artifacts_created=sum(r.artifacts_created for r in stage_reports),
     )
     return RunResult(
         report=report, population=population, events=events.events(), ledger=ledger
@@ -650,21 +594,30 @@ def _usage_dict(
     return {"prompt": usage.prompt_tokens, "completion": usage.completion_tokens}
 
 
-def evaluate_zero_shot(config: ProtocolConfig, connector=None) -> dict[int, list[float]]:
-    """Frozen evaluation of untrained (empty dynamic memory) instances.
+def evaluate(
+    memories: dict[int, InstanceMemory], config: ProtocolConfig, backend
+) -> dict[int, list[float]]:
+    """Frozen evaluation of each instance's memory on its evaluation seeds.
 
-    Uses the same evaluation seeds as a trained run with the same config,
-    so trained-vs-zero-shot comparisons are paired per episode.
+    The seeds depend only on the base seed, the instance and the episode, so
+    runs with the same config are paired per episode whatever their training.
     """
-    ledger = TokenLedger()
-    backend = build_backend(config, ledger, connector=connector)
     out: dict[int, list[float]] = {}
-    for instance in range(1, config.instances + 1):
-        memory = default_memory(config.memory_capacity)
+    for instance, memory in memories.items():
         ctx = CallContext(instance=instance, phase=PHASE_EVALUATION)
-        returns = []
-        for episode in range(1, config.eval_episodes_per_instance + 1):
-            seed = derive_seed(config.base_seed, "eval", instance, episode)
-            returns.append(run_frozen_episode(memory, seed, backend, ctx=ctx))
-        out[instance] = returns
+        out[instance] = [
+            run_frozen_episode(
+                memory, derive_seed(config.base_seed, "eval", instance, episode), backend, ctx=ctx
+            )
+            for episode in range(1, config.eval_episodes_per_instance + 1)
+        ]
     return out
+
+
+def evaluate_zero_shot(config: ProtocolConfig, connector=None) -> dict[int, list[float]]:
+    """Frozen evaluation of untrained (empty dynamic memory) instances."""
+    memories = {
+        instance: default_memory(config.memory_capacity)
+        for instance in range(1, config.instances + 1)
+    }
+    return evaluate(memories, config, build_backend(config, connector=connector))

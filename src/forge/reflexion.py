@@ -218,17 +218,15 @@ def reflexion_loop(
                 on_attempt(summary)
             continue
 
+        # Every attempt's trajectory is written; aborted ones add the failure
+        # snapshot that the learning agents consume.
+        if workspace is not None:
+            _write_attempt_artifacts(Path(workspace), attempt, outcome)
         added = 0
         if outcome.status is AttemptStatus.ABORTED:
-            # Full trajectories are only materialized for aborted attempts;
-            # they are what the learning agents consume.
-            if workspace is not None:
-                _write_attempt_artifacts(Path(workspace), attempt, outcome)
             delta = synthesize(outcome.snapshot, representation, backend, ctx=ctx)
             apply_delta(memory, delta)
             added = len(delta.additions)
-        elif workspace is not None:
-            _write_attempt_artifacts(Path(workspace), attempt, outcome)
 
         summary = AttemptSummary(
             attempt=attempt,

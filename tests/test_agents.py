@@ -16,7 +16,6 @@ from forge.agents import (
     ScriptedBackend,
     default_memory,
     default_role_configs,
-    load_role_configs,
     mock_responder,
     parse_action,
     parse_rule_clause,
@@ -62,29 +61,6 @@ class TestRoleConfigs:
         assert config[Role.PLANNER].max_output_tokens == 10_000
         assert config[Role.REFLECTOR].max_output_tokens == 20_000
         assert config[Role.EXEMPLIFIER].max_output_tokens == 20_000
-
-    def test_load_role_configs_overrides(self, tmp_path):
-        (tmp_path / "planner.yaml").write_text(
-            "system_prompt: You are the Planner, custom edition.\nmax_output_tokens: 5000\n"
-        )
-        configs = load_role_configs(tmp_path)
-        assert configs[Role.PLANNER].system_prompt.endswith("custom edition.")
-        assert configs[Role.PLANNER].max_output_tokens == 5000
-        assert configs[Role.ANALYST] == default_role_configs()[Role.ANALYST]
-
-    def test_load_role_definitions_carries_persistent_memory(self, tmp_path):
-        from forge.agents import load_role_definitions
-
-        (tmp_path / "analyst.yaml").write_text(
-            "system_prompt: You are the Analyst, field manual edition.\n"
-            "persistent_memory: treat repeated beacons as hostile\n"
-        )
-        configs, persistent = load_role_definitions(tmp_path)
-        assert configs[Role.ANALYST].system_prompt.endswith("field manual edition.")
-        assert persistent[Role.ANALYST] == "treat repeated beacons as hostile"
-        assert persistent[Role.PLANNER] == default_memory().persistent[Role.PLANNER]
-        memory = default_memory(persistent=persistent)
-        assert memory.persistent[Role.ANALYST] == "treat repeated beacons as hostile"
 
 
 class TestScriptedDecide:

@@ -47,10 +47,9 @@ def set_host(state, host, level=CompromiseLevel.CLEAN, decoy=False):
 
 class TestTopology:
     def test_thirteen_hosts_in_three_subnets(self):
-        assert len(env.HOSTS) == 13
-        sizes = {
-            subnet: sum(1 for h in env.HOSTS if h.subnet is subnet) for subnet in Subnet
-        }
+        subnets = [env.subnet_of(i) for i in range(cal.HOST_COUNT)]
+        assert len(subnets) == 13
+        sizes = {subnet: subnets.count(subnet) for subnet in Subnet}
         assert sizes[Subnet.USER] == 7
         assert sizes[Subnet.ENTERPRISE] == 5
         assert sizes[Subnet.OPERATIONAL] == 1

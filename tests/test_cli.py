@@ -16,6 +16,17 @@ backend: scripted
 base_seed: 31
 """
 
+# (config key, YAML value) pairs the run verb must refuse with exit code 2.
+BAD_VALUES = [
+    *(("max_workers", v) for v in ("lots", "2.9", "true", "0")),
+    ("graduation_enabled", "'false'"),
+    ("memory_capacity", "2.9"),
+    ("eval_episodes_per_instance", "true"),
+    ("graduation_threshold", "'-15'"),
+]
+# The max_workers cases keep the bare-value ids they were first listed under.
+BAD_VALUE_IDS = [v if k == "max_workers" else f"{k}={v}" for k, v in BAD_VALUES]
+
 
 def write_config(tmp_path, text=CONFIG, name="config.yaml"):
     path = tmp_path / name
@@ -51,9 +62,9 @@ class TestRunVerb:
         code = main(["run", "--config", str(config), "--run-dir", str(tmp_path / "s")])
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["lots", "2.9", "true", "0"])
-    def test_bad_max_workers_is_config_error(self, tmp_path, value):
-        config = write_config(tmp_path, CONFIG + f"max_workers: {value}\n")
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_bad_max_workers_is_config_error(self, tmp_path, key, value):
+        config = write_config(tmp_path, CONFIG + f"{key}: {value}\n")
         run_dir = tmp_path / "s"
         assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
         assert not run_dir.exists()
@@ -127,3 +138,5 @@ class TestBaselinesVerb:
         out = capsys.readouterr().out
         assert "sleep" in out and "random" in out and "heuristic" in out
         assert "-218.65" in out
+        assert "[ -273.31, -163.99]  ok" in out  # sleep, inside target +/-25%
+        assert "[  -73.54,  -44.12] OUT" in out  # heuristic, outside it over 5 episodes

@@ -16,7 +16,6 @@ from forge.memory import (
     InstanceMemory,
     MemoryArtifact,
     MemoryDelta,
-    MemoryFormatError,
     MemoryProtocolError,
     Origin,
     Representation,
@@ -93,7 +92,7 @@ class TestArtifactValidation:
 
 class TestAppend:
     def test_append_to_empty(self, memory):
-        mem.append_artifact(memory, rule())
+        memory.append(rule())
         assert len(memory.dynamic[Role.PLANNER]) == 1
 
     def test_fifo_eviction(self):
@@ -171,38 +170,28 @@ class TestRender:
 
 
 class TestPersistence:
-    def test_round_trip_empty(self, memory):
-        assert mem.load(mem.save(memory)) == memory
+    @staticmethod
+    def round_trip(memory, directory):
+        mem.save_workspace(memory, directory)
+        return mem.load_workspace(directory, memory.persistent, memory.capacity)
 
-    def test_round_trip_mixed_artifacts(self, memory):
+    def test_round_trip_empty(self, memory, tmp_path):
+        assert self.round_trip(memory, tmp_path) == memory
+
+    def test_round_trip_mixed_artifacts(self, memory, tmp_path):
         for host in (0, 1):
             memory.append(rule(host))
             memory.append(example(host))
         memory.append(rule(4, role=Role.ANALYST))
-        assert mem.load(mem.save(memory)) == memory
-
-    def test_truncated_bytes_raise_format_error(self, memory):
-        memory.append(rule())
-        blob = mem.save(memory)
-        with pytest.raises(MemoryFormatError):
-            mem.load(blob[: len(blob) // 2])
-
-    def test_invalid_yaml_reports_offset(self):
-        with pytest.raises(MemoryFormatError) as err:
-            mem.load(b"persistent: [unclosed")
-        assert "byte offset" in str(err.value)
-
-    def test_non_mapping_rejected(self):
-        with pytest.raises(MemoryFormatError):
-            mem.load(b"- just\n- a list\n")
+        assert self.round_trip(memory, tmp_path) == memory
 
     @given(st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=12))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_property(self, entries):
+    def test_round_trip_property(self, tmp_path_factory, entries):
         memory = default_memory()
         for host, is_rule in entries:
             memory.append(rule(host) if is_rule else example(host))
-        assert mem.load(mem.save(memory)) == memory
+        assert self.round_trip(memory, tmp_path_factory.mktemp("workspace")) == memory
 
     def test_workspace_round_trip_preserves_interleaving(self, memory, tmp_path):
         memory.append(rule(1))
@@ -285,7 +274,6 @@ class TestInvariants:
         before = memory.content_hash()
         memory.render(Role.PLANNER, Representation.MIXED)
         memory.artifacts(Representation.RULES)
-        mem.save(memory)
         assert memory.content_hash() == before
 
     def test_persistent_hash_unchanged_by_appends(self, memory):

@@ -297,19 +297,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_tau(ProtocolConfig(), [1.0])
 
-    def test_parallel_sweep_matches_sequential(self, tmp_path):
-        config = ProtocolConfig(
-            instances=2, stages=1, attempts_per_stage=1, backend="scripted", base_seed=9
-        )
-        sequential = sweep_tau(config, [-1.1, -3.0], out_dir=tmp_path / "seq")
-        concurrent = sweep_tau(
-            config, [-1.1, -3.0], out_dir=tmp_path / "par", parallel=True
-        )
-        assert [e.tau for e in concurrent] == [e.tau for e in sequential]
-        assert [e.summary.mean_return for e in concurrent] == [
-            e.summary.mean_return for e in sequential
-        ]
-
     def test_render_table(self, tmp_path):
         config = ProtocolConfig(
             instances=1, stages=1, attempts_per_stage=1, backend="scripted", base_seed=9

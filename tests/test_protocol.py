@@ -1,14 +1,24 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import MonitorBackend, ScriptedRewardEnv
 from forge.agents import LLMBackend, ScriptedBackend, default_memory, mock_responder
-from forge.llm_connector import ChatMessage, ChatRequest, ConnectorError, HttpConnector
+from forge.llm_connector import (
+    ChatMessage,
+    ChatRequest,
+    ConnectorError,
+    HttpConnector,
+    TokenLedger,
+    approx_tokens,
+)
+from forge.metrics import sweep_tau
 from forge.memory import Representation, Role
 from forge.protocol import (
     CHECKPOINT_FAILED,
@@ -28,6 +38,29 @@ from forge.protocol import (
     run_protocol,
     select_champion,
 )
+
+
+# (config key, YAML value) pairs that must raise ConfigError: ints reject
+# bools, floats and strings; bools and enums accept only their own values.
+BAD_VALUES = [
+    *(("max_workers", v) for v in ("'four'", "2.9", "2.0", "true", "0", "-3", "[2]")),
+    ("instances", "2.9"),
+    ("instances", "2.0"),
+    ("stages", "true"),
+    ("base_seed", "'7'"),
+    ("graduation_enabled", "'false'"),
+    ("graduation_enabled", "1"),
+    ("failure_trigger", "'-1.1'"),
+    ("failure_trigger", "false"),
+    ("model", "7"),
+    ("representation", "RULES"),
+    ("transfer_strategy", "forge"),
+    ("instances", "null"),
+    ("1", "2"),  # YAML reads the key as an int
+]
+
+# The max_workers cases keep the bare-value ids they were first listed under.
+BAD_VALUE_IDS = [v if k == "max_workers" else f"{k}={v}" for k, v in BAD_VALUES]
 
 
 def ckpt(instance: int, value: float, stage: int = 1) -> CheckpointResult:
@@ -96,12 +129,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
 
-    @pytest.mark.parametrize("value", ["'four'", "2.9", "2.0", "true", "0", "-3", "[2]"])
-    def test_bad_max_workers_rejected(self, tmp_path, value):
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_bad_max_workers_rejected(self, tmp_path, key, value):
         path = tmp_path / "config.yaml"
-        path.write_text(f"max_workers: {value}\n")
+        path.write_text(f"{key}: {value}\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert sorted(keys) == sorted(config_to_dict(ProtocolConfig()))
+
+    def test_float_fields_widen_ints(self):
+        config = config_from_dict({"graduation_threshold": -15, "failure_trigger": -2})
+        assert config_to_dict(config)["graduation_threshold"] == -15.0
+        assert type(config.failure_trigger) is float
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -407,7 +451,7 @@ def _record_decide_threads(monkeypatch, backend_cls) -> list[int]:
     return threads
 
 
-def _delayed_mock_transport(url, headers, payload):
+def _mock_transport(url, headers, payload):
     request = ChatRequest(
         model=payload["model"],
         messages=tuple(ChatMessage(m["role"], m["content"]) for m in payload["messages"]),
@@ -415,11 +459,56 @@ def _delayed_mock_transport(url, headers, payload):
         max_output_tokens=payload["max_tokens"],
     )
     content = mock_responder(request)
-    time.sleep(0.001)
+    prompt = sum(approx_tokens(m.content) for m in request.messages)
     return 200, {
         "choices": [{"message": {"content": content}}],
-        "usage": {"prompt_tokens": 1, "completion_tokens": 1},
+        "usage": {"prompt_tokens": prompt, "completion_tokens": approx_tokens(content)},
     }
+
+
+def _delayed_mock_transport(url, headers, payload):
+    time.sleep(0.001)
+    return _mock_transport(url, headers, payload)
+
+
+def _usage(ledger, **where) -> dict[str, int]:
+    totals = ledger.totals(**where)
+    return {"prompt": totals.prompt_tokens, "completion": totals.completion_tokens}
+
+
+class TestInjectedConnectorTokens:
+    """A connector passed to ``run_protocol`` is counted in the run's own ledger."""
+
+    def test_report_log_and_connector_ledger_agree(self, tmp_path):
+        connector_ledger = TokenLedger()
+        connector = HttpConnector(
+            "http://provider.invalid", transport=_mock_transport, ledger=connector_ledger
+        )
+        run_dir = tmp_path / "session"
+        report = run_protocol(small_config(), run_dir=run_dir, connector=connector).report
+        logged = TokenLedger.read(run_dir / "token_usage.log")
+        assert connector_ledger.totals().prompt_tokens > 0
+        for phase in ("adaptation", "evaluation"):
+            assert report.tokens[phase] == _usage(logged, phase=phase)
+            assert report.tokens[phase] == _usage(connector_ledger, phase=phase)
+        for instance, usage in report.tokens_by_instance.items():
+            assert usage == _usage(connector_ledger, instance=instance)
+
+    def test_sweep_runs_sharing_a_connector_count_apart(self, tmp_path):
+        connector_ledger = TokenLedger()
+        connector = HttpConnector(
+            "http://provider.invalid", transport=_mock_transport, ledger=connector_ledger
+        )
+        entries = sweep_tau(small_config(), [-1.1, -3.0], out_dir=tmp_path, connector=connector)
+        per_run = []
+        for entry in entries:
+            tau_dir = tmp_path / f"tau_{entry.tau:+.1f}".replace("+", "")
+            logged = _usage(TokenLedger.read(tau_dir / "token_usage.log"))
+            reported = entry.summary.tokens
+            assert logged["prompt"] == sum(t["prompt"] for t in reported.values())
+            per_run.append(logged["prompt"])
+        assert all(per_run)
+        assert sum(per_run) == connector_ledger.totals().prompt_tokens
 
 
 class TestStageWorkers:
