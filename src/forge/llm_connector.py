@@ -120,11 +120,24 @@ class TokenLogEntry:
 
 
 class TokenLedger:
-    """Thread-safe append-only token accounting."""
+    """Thread-safe append-only token accounting.
+
+    Beside the entries it keeps running ``[prompt, completion]`` sums per
+    ``(phase, instance)``, so :meth:`totals` adds up a few buckets instead of
+    rescanning every entry.
+    """
 
     def __init__(self) -> None:
         self._entries: list[TokenLogEntry] = []
+        self._sums: dict[tuple[str, int], list[int]] = {}
         self._lock = threading.Lock()
+
+    def _add(self, entry: TokenLogEntry) -> None:
+        """Append one entry; the caller holds the lock or owns the ledger alone."""
+        self._entries.append(entry)
+        bucket = self._sums.setdefault((entry.phase, entry.instance), [0, 0])
+        bucket[0] += entry.prompt_tokens
+        bucket[1] += entry.completion_tokens
 
     def record(self, meta: RequestMeta, usage: TokenUsage) -> None:
         entry = TokenLogEntry(
@@ -136,21 +149,20 @@ class TokenLedger:
             completion_tokens=usage.completion_tokens,
         )
         with self._lock:
-            self._entries.append(entry)
+            self._add(entry)
 
     def entries(self) -> list[TokenLogEntry]:
         with self._lock:
             return list(self._entries)
 
     def totals(self, phase: str | None = None, instance: int | None = None) -> TokenUsage:
-        total = TokenUsage()
-        for e in self.entries():
-            if phase is not None and e.phase != phase:
-                continue
-            if instance is not None and e.instance != instance:
-                continue
-            total = total + TokenUsage(e.prompt_tokens, e.completion_tokens)
-        return total
+        prompt = completion = 0
+        with self._lock:
+            for (p, i), (bucket_prompt, bucket_completion) in self._sums.items():
+                if (phase is None or p == phase) and (instance is None or i == instance):
+                    prompt += bucket_prompt
+                    completion += bucket_completion
+        return TokenUsage(prompt, completion)
 
     def write(self, path: str | Path) -> None:
         path = Path(path)
@@ -164,7 +176,7 @@ class TokenLedger:
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if line:
-                ledger._entries.append(TokenLogEntry.parse(line))
+                ledger._add(TokenLogEntry.parse(line))
         return ledger
 
 

@@ -17,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 import yaml
+from yaml import CSafeDumper
 
 
 class Role(Enum):
@@ -289,6 +290,16 @@ _KIND_FILENAME = {
 }
 
 
+def dump_yaml(data) -> str:
+    """YAML text of ``data`` with sorted keys and unescaped unicode, emitted by libyaml.
+
+    libyaml's emitter is several times faster than PyYAML's pure-Python one,
+    and unlike it writes texts holding the line breaks U+0085, U+2028 or
+    U+2029 so that they read back unchanged.
+    """
+    return yaml.dump(data, Dumper=CSafeDumper, sort_keys=True, allow_unicode=True)
+
+
 def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -301,9 +312,7 @@ def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
                 if a.kind is kind
             ]
             path = directory / f"{role.value}_{filename}"
-            path.write_text(
-                yaml.safe_dump(artifacts, sort_keys=True, allow_unicode=True), encoding="utf-8"
-            )
+            path.write_text(dump_yaml(artifacts), encoding="utf-8")
             written.append(path)
     return written
 

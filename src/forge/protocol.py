@@ -405,9 +405,23 @@ def run_protocol(
         raise RunError(f"protocol run failed: {exc}") from exc
 
     if run_path is not None:
-        (run_path / "final_report.json").write_text(result.report.to_json(), encoding="utf-8")
+        _write_atomic(run_path / "final_report.json", result.report.to_json())
         ledger.write(run_path / "token_usage.log")
     return result
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A crash mid-write leaves the previous file or none, never a truncated one.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _worker(
@@ -462,7 +476,7 @@ def _worker(
 
 
 def _stage_workers(config: ProtocolConfig, backend) -> int:
-    """Worker threads for the stage pool.
+    """Worker threads for the stage pool and the final evaluation pool.
 
     Threads only pay off while calls wait on the network, i.e. when the
     backend talks through an :class:`HttpConnector`. Offline backends are pure
@@ -550,9 +564,9 @@ def _run_stages(
             stage_reports.append(report)
 
             if run_path is not None:
-                (run_path / f"stage_summary_{stage:02d}.json").write_text(
+                _write_atomic(
+                    run_path / f"stage_summary_{stage:02d}.json",
                     json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8",
                 )
                 for p in population:
                     save_workspace(
@@ -601,17 +615,24 @@ def evaluate(
 
     The seeds depend only on the base seed, the instance and the episode, so
     runs with the same config are paired per episode whatever their training.
+    Each instance's episodes are one job on a pool sized like a stage's.
     """
-    out: dict[int, list[float]] = {}
-    for instance, memory in memories.items():
+
+    def episodes(instance: int, memory: InstanceMemory) -> list[float]:
         ctx = CallContext(instance=instance, phase=PHASE_EVALUATION)
-        out[instance] = [
+        return [
             run_frozen_episode(
                 memory, derive_seed(config.base_seed, "eval", instance, episode), backend, ctx=ctx
             )
             for episode in range(1, config.eval_episodes_per_instance + 1)
         ]
-    return out
+
+    with ThreadPoolExecutor(max_workers=_stage_workers(config, backend)) as executor:
+        futures = {
+            instance: executor.submit(episodes, instance, memory)
+            for instance, memory in memories.items()
+        }
+        return {instance: future.result() for instance, future in futures.items()}
 
 
 def evaluate_zero_shot(config: ProtocolConfig, connector=None) -> dict[int, list[float]]:

@@ -18,13 +18,11 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-import yaml
-
 from . import cage_lite
 from .agents import CallContext, serialize_snapshot
 from .cage_lite import EnvState, StepRecord, deepest_compromised_chain_host, episode_return
 from .llm_connector import ConnectorError
-from .memory import InstanceMemory, MemoryDelta, Origin, Representation, apply_delta
+from .memory import InstanceMemory, MemoryDelta, Origin, Representation, apply_delta, dump_yaml
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -165,9 +163,7 @@ def _write_attempt_artifacts(
             "failing_host": deepest_compromised_chain_host(outcome.snapshot.env_state),
             "snapshot_text": serialize_snapshot(outcome.snapshot),
         }
-        (attempt_dir / "snapshot.yaml").write_text(
-            yaml.safe_dump(payload, sort_keys=True, allow_unicode=True), encoding="utf-8"
-        )
+        (attempt_dir / "snapshot.yaml").write_text(dump_yaml(payload), encoding="utf-8")
 
 
 def reflexion_loop(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from forge.llm_connector import (
@@ -150,6 +153,43 @@ class TestLedger:
         assert loaded.totals() == ledger.totals()
         entry = loaded.entries()[0]
         assert (entry.instance, entry.role, entry.phase) == (3, "reflector", "adaptation")
+
+    def test_running_sums_match_a_full_scan(self, tmp_path):
+        ledger = TokenLedger()
+        phases = ("adaptation", "evaluation")
+
+        def record(worker: int) -> None:
+            for i in range(300):
+                meta = RequestMeta(instance=i % 4, role="planner", phase=phases[(i + worker) % 2])
+                ledger.record(meta, TokenUsage(worker + i, 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(ledger.entries()) == 8 * 300
+
+        path = tmp_path / "token_usage.log"
+        ledger.write(path)
+        for checked in (ledger, TokenLedger.read(path)):
+            entries = checked.entries()
+            for phase in (None, *phases):
+                for instance in (None, 0, 1, 2, 3, 4):
+                    matching = [
+                        e for e in entries
+                        if phase in (None, e.phase) and instance in (None, e.instance)
+                    ]
+                    assert checked.totals(phase=phase, instance=instance) == TokenUsage(
+                        sum(e.prompt_tokens for e in matching),
+                        sum(e.completion_tokens for e in matching),
+                    )
 
     def test_log_line_format(self):
         entry = TokenLogEntry(1.5, 2, "planner", "evaluation", 10, 4)

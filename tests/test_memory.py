@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,10 @@ EXAMPLE_TEXT = (
     "Answer: Restore 6\n"
     "</example>"
 )
+
+# Any text; the line breaks YAML emitters treat specially (NEL, LS, PS) are
+# drawn as often as the rest of the alphabet together.
+ANY_TEXT = st.text(st.characters() | st.sampled_from("\x85\u2028\u2029"))
 
 
 def rule(host: int = 6, role: Role = Role.PLANNER, stage: int = 1, attempt: int = 1,
@@ -185,12 +190,24 @@ class TestPersistence:
         memory.append(rule(4, role=Role.ANALYST))
         assert self.round_trip(memory, tmp_path) == memory
 
-    @given(st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=12))
-    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.booleans(), ANY_TEXT, ANY_TEXT), max_size=12
+        )
+    )
+    @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, tmp_path_factory, entries):
+        # Any id and any text, wrapped in the shape its kind requires.
         memory = default_memory()
-        for host, is_rule in entries:
-            memory.append(rule(host) if is_rule else example(host))
+        for host, is_rule, artifact_id, text in entries:
+            if is_rule:
+                artifact = replace(rule(host), text=f"When {text}, then restore host {host}.")
+            else:
+                artifact = replace(
+                    example(host),
+                    text=f"Thought: {text}\nTool: {text}\nObservation: {text}\nAnswer: {text}",
+                )
+            memory.append(replace(artifact, artifact_id=artifact_id))
         assert self.round_trip(memory, tmp_path_factory.mktemp("workspace")) == memory
 
     def test_workspace_round_trip_preserves_interleaving(self, memory, tmp_path):

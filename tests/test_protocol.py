@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
@@ -373,6 +374,45 @@ class TestRunProtocol:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    def test_outputs_pinned_across_versions(self, tmp_path):
+        """SHA-256 of the report and of every memory and failure snapshot.
+
+        The values were computed before the snapshot writers moved to libyaml;
+        a change that alters any of these bytes must say why and update them.
+        """
+        run_protocol(small_config(representation=Representation.MIXED), run_dir=tmp_path)
+        report = tmp_path / "final_report.json"
+        snapshots = sorted(tmp_path.glob("workspaces/*/*/memory/*.yaml")) + sorted(
+            tmp_path.glob("workspaces/*/*/*/snapshot.yaml")
+        )
+        manifest = "".join(
+            f"{path.relative_to(tmp_path).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+            for path in [report, *snapshots]
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "baf711ce5305b3613503746a688cc9dd713d00bf7fb975f8ff24aeea5651372a"
+        )
+        assert len(snapshots) == 3 * 2 * 6 + 12  # memory files per stage, failure snapshots
+        assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == (
+            "1f52499dacdc710742d3965db1ff0f1ad801c1fca24e56b0ecd5804121636fd0"
+        )
+
+    @pytest.mark.parametrize("name", ["final_report.json", "stage_summary_01.json"])
+    def test_interrupted_report_write_leaves_no_truncated_file(self, tmp_path, monkeypatch, name):
+        write_text = Path.write_text
+
+        def fail_halfway(path, data, *args, **kwargs):
+            if name in path.name:
+                write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_halfway)
+        run_dir = tmp_path / "session"
+        with pytest.raises((OSError, RunError)):
+            run_protocol(small_config(backend="scripted"), run_dir=run_dir)
+        assert [p.name for p in run_dir.iterdir() if name in p.name] == []
+
     def test_run_directory_layout(self, tmp_path):
         run_dir = tmp_path / "session"
         run_protocol(small_config(), run_dir=run_dir)
@@ -439,16 +479,33 @@ class TestZeroShot:
         assert sum(trained) / len(trained) > sum(zero) / len(zero)
 
 
-def _record_decide_threads(monkeypatch, backend_cls) -> list[int]:
-    threads: list[int] = []
+def _record_decide_peaks(monkeypatch, backend_cls) -> dict[str, int]:
+    """Peak number of ``decide`` calls in flight, by the phase of the call.
+
+    Training and final evaluation never overlap in time, so each phase's peak
+    counts only calls of that phase.
+    """
+    peaks = {"adaptation": 0, "evaluation": 0}
+    in_flight = 0
+    lock = threading.Lock()
     original = backend_cls.decide
 
-    def decide(self, *args, **kwargs):
-        threads.append(threading.get_ident())
-        return original(self, *args, **kwargs)
+    def decide(self, observation, memory, ctx=None):
+        nonlocal in_flight
+        with lock:
+            in_flight += 1
+            peaks[ctx.phase] = max(peaks[ctx.phase], in_flight)
+        try:
+            # Give up the interpreter lock inside the call, so that any other
+            # worker thread gets to start a call of its own meanwhile.
+            time.sleep(0.0001)
+            return original(self, observation, memory, ctx)
+        finally:
+            with lock:
+                in_flight -= 1
 
     monkeypatch.setattr(backend_cls, "decide", decide)
-    return threads
+    return peaks
 
 
 def _mock_transport(url, headers, payload):
@@ -512,33 +569,39 @@ class TestInjectedConnectorTokens:
 
 
 class TestStageWorkers:
-    """Offline backends train on one worker; only network waits get more."""
-
-    @staticmethod
-    def _stage_threads(threads: list[int]) -> set[int]:
-        # Final evaluation runs on the calling thread; stage work never does.
-        return set(threads) - {threading.get_ident()}
+    """Offline backends train and evaluate on one worker; only network waits get more."""
 
     @pytest.mark.parametrize("backend, backend_cls", [
         ("scripted", ScriptedBackend),
         ("mock", LLMBackend),
     ])
     def test_offline_backend_uses_one_worker(self, monkeypatch, backend, backend_cls):
-        threads = _record_decide_threads(monkeypatch, backend_cls)
+        peaks = _record_decide_peaks(monkeypatch, backend_cls)
         run_protocol(small_config(backend=backend, instances=4, stages=1))
-        assert threads
-        assert len(self._stage_threads(threads)) == 1
+        assert peaks == {"adaptation": 1, "evaluation": 1}
+
+    @staticmethod
+    def _http_run(monkeypatch, **overrides):
+        peaks = _record_decide_peaks(monkeypatch, LLMBackend)
+        connector = HttpConnector(base_url="http://provider.invalid", transport=_delayed_mock_transport)
+        config = small_config(
+            instances=3, stages=1, attempts_per_stage=1, eval_episodes_per_instance=1, **overrides
+        )
+        return peaks, run_protocol(config, connector=connector).report
 
     def test_http_connector_uses_several_workers(self, monkeypatch):
-        threads = _record_decide_threads(monkeypatch, LLMBackend)
-        connector = HttpConnector(base_url="http://provider.invalid", transport=_delayed_mock_transport)
-        run_protocol(
-            small_config(instances=3, stages=1, attempts_per_stage=1, eval_episodes_per_instance=1),
-            connector=connector,
-        )
-        assert len(self._stage_threads(threads)) > 1
+        peaks, _ = self._http_run(monkeypatch)
+        assert peaks["adaptation"] > 1
+
+    def test_http_connector_evaluates_on_several_workers(self, monkeypatch):
+        peaks, report = self._http_run(monkeypatch)
+        assert peaks["evaluation"] > 1
+        monkeypatch.undo()
+        serial_peaks, serial = self._http_run(monkeypatch, max_workers=1)
+        assert serial_peaks == {"adaptation": 1, "evaluation": 1}
+        assert report.eval_returns == serial.eval_returns
 
     def test_explicit_max_workers_honoured(self, monkeypatch):
-        threads = _record_decide_threads(monkeypatch, ScriptedBackend)
+        peaks = _record_decide_peaks(monkeypatch, ScriptedBackend)
         run_protocol(small_config(backend="scripted", instances=4, stages=1, max_workers=4))
-        assert len(self._stage_threads(threads)) > 1
+        assert peaks["adaptation"] > 1
