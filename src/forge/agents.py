@@ -196,9 +196,10 @@ def severity_of_flags(anomalous: bool, suspicious: bool, new_file: bool) -> str:
     return "high"
 
 
-def clause_matches(clause: Clause, observation: Observation) -> bool:
+def clause_matches(clause: Clause, observation: Observation, confirmed_host: int | None) -> bool:
+    """Whether ``clause`` fires; ``confirmed_host`` is ``observation.confirmed_host()``."""
     anomalous, suspicious, new_file = observation.flags(clause.host)
-    confirmed = observation.confirmed_host() == clause.host
+    confirmed = confirmed_host == clause.host
     if clause.trigger == "compromised":
         return anomalous or suspicious or new_file or confirmed
     if clause.trigger == "anomalous_process":
@@ -289,25 +290,32 @@ class ScriptedBackend:
         memory: InstanceMemory,
         ctx: CallContext | None = None,
     ) -> ActionDecision:
-        for artifact in memory.artifacts(self.representation):
-            clause = artifact.clause
-            if clause is not None and clause_matches(clause, observation):
-                return ActionDecision(
-                    action=clause_action(clause),
-                    rationale=f"clause match on artifact {artifact.artifact_id or '<unnamed>'}",
-                )
+        confirmed = observation.confirmed_host()
+        admits = self.representation.admits
+        # Same order as ``memory.artifacts(self.representation)``, without the list.
+        for role in ACTING_ROLES:
+            for artifact in memory.dynamic[role]:
+                clause = artifact.clause
+                if (
+                    clause is not None
+                    and admits(artifact.kind)
+                    and clause_matches(clause, observation, confirmed)
+                ):
+                    return ActionDecision(
+                        action=clause_action(clause),
+                        rationale=f"clause match on artifact {artifact.artifact_id or '<unnamed>'}",
+                    )
 
         calls: list[SubagentCall] = []
-        host = observation.confirmed_host()
-        if host is not None:
-            context = {"host": host, "severity": "high", "situation": "confirmed"}
+        if confirmed is not None:
+            context = {"host": confirmed, "severity": "high", "situation": "confirmed"}
             ranking = self.rank_actions(context, memory)
             calls.append(
                 SubagentCall(Role.ACTION_CHOOSER, json.dumps(context, sort_keys=True), _ranking_text(ranking))
             )
             return ActionDecision(
                 action=ranking[0].action,
-                rationale=f"inspection confirmed compromise on host {host}",
+                rationale=f"inspection confirmed compromise on host {confirmed}",
                 subagent_calls=tuple(calls),
             )
 

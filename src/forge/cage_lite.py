@@ -6,18 +6,20 @@ indicator flags; the true compromise state stays hidden. Per-step rewards are
 non-positive and fall into the calibrated penalty groups documented in
 :mod:`forge.calibration`.
 
-State is a value: ``reset`` and ``step`` are pure functions from state to
-state, carrying the RNG state along, so episodes replay bit-identically from
-``(seed, action sequence)``.
+An episode is driven in place: ``begin`` returns an :class:`Episode` that
+owns one live generator, and ``Episode.step`` advances it. ``reset`` and
+``step`` stay pure functions from state value to state value, carrying the
+RNG state along; both wrap the same transition, so episodes replay
+bit-identically from ``(seed, action sequence)`` either way.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import calibration as cal
 from .seeding import derive_seed
@@ -76,6 +78,16 @@ class HostCompromise:
     decoy_present: bool = False
 
 
+# Every HostCompromise value the simulator builds comes from this table, so a
+# step allocates no host objects.
+_HOST_VALUES = {
+    (level, decoy): HostCompromise(level, decoy)
+    for level in CompromiseLevel
+    for decoy in (False, True)
+}
+_CLEAN = _HOST_VALUES[CompromiseLevel.CLEAN, False]
+
+
 @dataclass(frozen=True, slots=True)
 class AttackerState:
     phase: AttackPhase
@@ -128,7 +140,8 @@ class Observation:
         )
 
     def flagged_hosts(self) -> list[int]:
-        return [h for h in range(cal.HOST_COUNT) if any(self.flags(h))]
+        flags = zip(self.anomalous_process, self.suspicious_connection, self.new_file)
+        return [h for h, (a, s, n) in enumerate(flags) if a or s or n]
 
     def confirmed_host(self) -> int | None:
         """The analysed host, if the inspection found at least user access."""
@@ -182,14 +195,14 @@ _PHASE_BY_PROGRESS: tuple[AttackPhase, ...] = (
 )
 
 
-def _progress(hosts: tuple[HostCompromise, ...], chain: tuple[int, ...]) -> int:
+def _progress(hosts: Sequence[HostCompromise], chain: tuple[int, ...]) -> int:
     for i, (slot, needed) in enumerate(_MILESTONES):
         if hosts[chain[slot]].level < needed:
             return i
     return len(_MILESTONES)
 
 
-def _foothold(hosts: tuple[HostCompromise, ...], chain: tuple[int, ...]) -> int | None:
+def _foothold(hosts: Sequence[HostCompromise], chain: tuple[int, ...]) -> int | None:
     for host in reversed(chain):
         if hosts[host].level >= CompromiseLevel.USER_ACCESS:
             return host
@@ -214,46 +227,41 @@ def _advance_attacker(
     otherwise the operation succeeds with the calibrated probability and the
     target host moves to the milestone's compromise level.
     """
-    progress = _progress(tuple(hosts), chain)
+    progress = _progress(hosts, chain)
     if progress >= len(_MILESTONES):
         return
     slot, level = _MILESTONES[progress]
     target = chain[slot]
     if hosts[target].decoy_present:
-        hosts[target] = replace(hosts[target], decoy_present=False)
+        hosts[target] = _HOST_VALUES[hosts[target].level, False]
         return
     success = cal.OP_SERVER_ATTACK_SUCCESS_PROB if slot == 2 else cal.ATTACK_SUCCESS_PROB
     if rng.random() < success:
-        hosts[target] = replace(hosts[target], level=level)
+        hosts[target] = _HOST_VALUES[level, False]
 
 
-def _compromised(host: HostCompromise) -> bool:
-    return host.level >= CompromiseLevel.USER_ACCESS
+def _reward_tenths(hosts: Sequence[HostCompromise], action_kind: ActionKind) -> int:
+    user = max([hosts[h].level for h in cal.USER_HOSTS])
+    enterprise = max([hosts[h].level for h in cal.ENTERPRISE_HOSTS])
+    operational = max([hosts[h].level for h in cal.OPERATIONAL_HOSTS])
+    server = max(enterprise, operational)
+    user_compromised = user >= CompromiseLevel.USER_ACCESS
 
-
-def _reward_tenths(hosts: tuple[HostCompromise, ...], action_kind: ActionKind) -> int:
-    user_levels = [hosts[h].level for h in cal.USER_HOSTS if _compromised(hosts[h])]
-    server_hosts = cal.ENTERPRISE_HOSTS + cal.OPERATIONAL_HOSTS
-    server_levels = [hosts[h].level for h in server_hosts if _compromised(hosts[h])]
-    op_rooted = any(
-        hosts[h].level == CompromiseLevel.ROOT_ACCESS for h in cal.OPERATIONAL_HOSTS
-    )
-
-    if op_rooted:
+    if operational == CompromiseLevel.ROOT_ACCESS:
         tenths = cal.SEVERE_BASE_TENTHS
-        if any(_compromised(hosts[h]) for h in cal.ENTERPRISE_HOSTS):
+        if enterprise >= CompromiseLevel.USER_ACCESS:
             tenths += cal.SEVERE_ENTERPRISE_EXTRA_TENTHS
-        if user_levels:
+        if user_compromised:
             tenths += cal.SEVERE_USER_EXTRA_TENTHS
-    elif server_levels:
-        if CompromiseLevel.ROOT_ACCESS in server_levels:
+    elif server >= CompromiseLevel.USER_ACCESS:
+        if server == CompromiseLevel.ROOT_ACCESS:
             tenths = cal.MODERATE_ROOT_TENTHS
         else:
             tenths = cal.MODERATE_BASE_TENTHS
-        if user_levels:
+        if user_compromised:
             tenths += cal.MODERATE_USER_EXTRA_TENTHS
-    elif user_levels:
-        if CompromiseLevel.ROOT_ACCESS in user_levels:
+    elif user_compromised:
+        if user == CompromiseLevel.ROOT_ACCESS:
             tenths = cal.SMALL_ROOT_TENTHS
         else:
             tenths = cal.SMALL_USER_LEVEL_TENTHS
@@ -266,32 +274,37 @@ def _reward_tenths(hosts: tuple[HostCompromise, ...], action_kind: ActionKind) -
 
 
 def _observe(
-    hosts: tuple[HostCompromise, ...],
+    hosts: Sequence[HostCompromise],
     rng: random.Random,
     step_index: int,
     analysed_host: int | None = None,
     analysed_level: CompromiseLevel | None = None,
 ) -> Observation:
-    anomalous, suspicious, new_file = [], [], []
+    """Three noise draws per host, in host order: process, connection, file.
+
+    A compromised host shows the process and connection flags unless the
+    draw is a false negative; only root access shows the new-file flag.
+    """
+    rand = rng.random
+    false_negative = cal.OBS_FALSE_NEGATIVE_RATE
+    false_positive = cal.OBS_FALSE_POSITIVE_RATE
+    user_access, root_access = CompromiseLevel.USER_ACCESS, CompromiseLevel.ROOT_ACCESS
+    flags: list[bool] = []
     for host in hosts:
-        truth = (
-            host.level >= CompromiseLevel.USER_ACCESS,
-            host.level >= CompromiseLevel.USER_ACCESS,
-            host.level == CompromiseLevel.ROOT_ACCESS,
-        )
-        noisy = []
-        for flag in truth:
-            if flag:
-                noisy.append(rng.random() >= cal.OBS_FALSE_NEGATIVE_RATE)
-            else:
-                noisy.append(rng.random() < cal.OBS_FALSE_POSITIVE_RATE)
-        anomalous.append(noisy[0])
-        suspicious.append(noisy[1])
-        new_file.append(noisy[2])
+        level = host.level
+        # A tuple display evaluates left to right, so the draws stay in order.
+        if level >= user_access:
+            flags += (
+                rand() >= false_negative,
+                rand() >= false_negative,
+                rand() >= false_negative if level == root_access else rand() < false_positive,
+            )
+        else:
+            flags += (rand() < false_positive, rand() < false_positive, rand() < false_positive)
     return Observation(
-        anomalous_process=tuple(anomalous),
-        suspicious_connection=tuple(suspicious),
-        new_file=tuple(new_file),
+        anomalous_process=tuple(flags[0::3]),
+        suspicious_connection=tuple(flags[1::3]),
+        new_file=tuple(flags[2::3]),
         step_index=step_index,
         analysed_host=analysed_host,
         analysed_level=analysed_level,
@@ -309,18 +322,102 @@ def _resume_rng(rng_state: tuple) -> random.Random:
     return rng
 
 
-def reset(seed: int) -> tuple[EnvState, Observation]:
+class Episode:
+    """One episode in progress, stepped in place with one live generator.
+
+    ``step`` applies a blue action, advances the attacker once and scores
+    the step. Draw order is fixed (action effect, attacker operation,
+    observation noise) so replays are deterministic. ``state`` snapshots the
+    episode as an :class:`EnvState`; ``resume`` continues one.
+    """
+
+    __slots__ = ("hosts", "chain", "step_index", "rng")
+
+    def __init__(
+        self,
+        hosts: list[HostCompromise],
+        chain: tuple[int, ...],
+        step_index: int,
+        rng: random.Random,
+    ):
+        self.hosts = hosts
+        self.chain = chain
+        self.step_index = step_index
+        self.rng = rng
+
+    @classmethod
+    def resume(cls, state: EnvState) -> "Episode":
+        return cls(
+            list(state.hosts), state.attacker.target_chain, state.step, _resume_rng(state.rng_state)
+        )
+
+    @property
+    def done(self) -> bool:
+        return self.step_index >= cal.EPISODE_LENGTH
+
+    def state(self) -> EnvState:
+        hosts = tuple(self.hosts)
+        return EnvState(
+            hosts=hosts,
+            attacker=_attacker_view(hosts, self.chain),
+            step=self.step_index,
+            rng_state=self.rng.getstate(),
+        )
+
+    def step(self, action: BlueAction) -> tuple[Observation, float]:
+        if self.done:
+            raise EpisodeTerminalError(f"episode already ended at step {self.step_index}")
+        if not isinstance(action, BlueAction):
+            raise InvalidActionError(f"not a BlueAction: {action!r}")
+
+        hosts, rng = self.hosts, self.rng
+        kind, target = action.kind, action.target
+        analysed_host: int | None = None
+        reveal = False
+        attacker_stunned = False
+
+        if kind is ActionKind.ANALYSE:
+            analysed_host = target
+            reveal = rng.random() < cal.ANALYSE_REVEAL_PROB
+        elif kind is ActionKind.REMOVE:
+            host = hosts[target]
+            if host.level == CompromiseLevel.USER_ACCESS and rng.random() < cal.REMOVE_SUCCESS_PROB:
+                hosts[target] = _HOST_VALUES[CompromiseLevel.CLEAN, host.decoy_present]
+        elif kind is ActionKind.RESTORE:
+            # Reimaging the host the attacker operates from costs it this
+            # step's operation on top of the lost milestones.
+            attacker_stunned = target == _foothold(hosts, self.chain)
+            hosts[target] = _CLEAN
+        elif kind is ActionKind.DECOY:
+            hosts[target] = _HOST_VALUES[hosts[target].level, True]
+
+        if not attacker_stunned:
+            _advance_attacker(hosts, self.chain, rng)
+
+        self.step_index += 1
+        reward_tenths = _reward_tenths(hosts, kind)
+        observation = _observe(
+            hosts,
+            rng,
+            step_index=self.step_index,
+            analysed_host=analysed_host,
+            analysed_level=hosts[target].level if reveal else None,
+        )
+        return observation, reward_tenths / 10.0
+
+
+def begin(seed: int) -> tuple[Episode, Observation]:
     """Start a fresh episode. Identical seeds replay bit-identically."""
     rng = random.Random(seed)
-    hosts = tuple(HostCompromise() for _ in range(cal.HOST_COUNT))
+    hosts = [_CLEAN] * cal.HOST_COUNT
     observation = _observe(hosts, rng, step_index=0)
-    state = EnvState(
-        hosts=hosts,
-        attacker=_attacker_view(hosts, cal.TARGET_CHAIN),
-        step=0,
-        rng_state=rng.getstate(),
-    )
-    return state, observation
+    return Episode(hosts, cal.TARGET_CHAIN, 0, rng), observation
+
+
+def reset(seed: int) -> tuple[EnvState, Observation]:
+    """:func:`begin` as a state value."""
+    episode, observation = begin(seed)
+    return episode.state(), observation
 
 
 def is_terminal(state: EnvState) -> bool:
@@ -328,73 +425,17 @@ def is_terminal(state: EnvState) -> bool:
 
 
 def step(state: EnvState, action: BlueAction) -> tuple[EnvState, Observation, float]:
-    """Apply one blue action, advance the attacker once, and score the step.
-
-    Draw order is fixed (action effect, attacker operation, observation
-    noise) so replays are deterministic.
-    """
-    if is_terminal(state):
-        raise EpisodeTerminalError(f"episode already ended at step {state.step}")
-    if not isinstance(action, BlueAction):
-        raise InvalidActionError(f"not a BlueAction: {action!r}")
-
-    rng = _resume_rng(state.rng_state)
-    hosts = list(state.hosts)
-    chain = state.attacker.target_chain
-    foothold_before = _foothold(state.hosts, chain)
-    analysed_host: int | None = None
-    reveal = False
-    attacker_stunned = False
-
-    if action.kind is ActionKind.ANALYSE:
-        analysed_host = action.target
-        reveal = rng.random() < cal.ANALYSE_REVEAL_PROB
-    elif action.kind is ActionKind.REMOVE:
-        target = hosts[action.target]
-        if target.level == CompromiseLevel.USER_ACCESS and rng.random() < cal.REMOVE_SUCCESS_PROB:
-            hosts[action.target] = replace(target, level=CompromiseLevel.CLEAN)
-    elif action.kind is ActionKind.RESTORE:
-        hosts[action.target] = HostCompromise()
-        # Reimaging the host the attacker operates from costs it this step's
-        # operation on top of the lost milestones.
-        attacker_stunned = action.target == foothold_before
-    elif action.kind is ActionKind.DECOY:
-        hosts[action.target] = replace(hosts[action.target], decoy_present=True)
-
-    if not attacker_stunned:
-        _advance_attacker(hosts, chain, rng)
-
-    new_hosts = tuple(hosts)
-    reward_tenths = _reward_tenths(new_hosts, action.kind)
-    analysed_level = new_hosts[analysed_host].level if (analysed_host is not None and reveal) else None
-    observation = _observe(
-        new_hosts,
-        rng,
-        step_index=state.step + 1,
-        analysed_host=analysed_host,
-        analysed_level=analysed_level,
-    )
-    new_state = EnvState(
-        hosts=new_hosts,
-        attacker=_attacker_view(new_hosts, chain),
-        step=state.step + 1,
-        rng_state=rng.getstate(),
-    )
-    return new_state, observation, reward_tenths / 10.0
+    """:meth:`Episode.step` as a pure function; ``state`` is left unchanged."""
+    episode = Episode.resume(state)
+    observation, reward = episode.step(action)
+    return episode.state(), observation, reward
 
 
 def attacker_transition(state: EnvState) -> EnvState:
     """Apply just the attacker's move (used by tests to probe the kill chain)."""
-    rng = _resume_rng(state.rng_state)
-    hosts = list(state.hosts)
-    _advance_attacker(hosts, state.attacker.target_chain, rng)
-    new_hosts = tuple(hosts)
-    return EnvState(
-        hosts=new_hosts,
-        attacker=_attacker_view(new_hosts, state.attacker.target_chain),
-        step=state.step,
-        rng_state=rng.getstate(),
-    )
+    episode = Episode.resume(state)
+    _advance_attacker(episode.hosts, episode.chain, episode.rng)
+    return episode.state()
 
 
 def episode_return(records: Iterable[StepRecord]) -> float:
@@ -452,12 +493,12 @@ BASELINE_POLICIES: dict[str, Policy] = {
 
 
 def run_policy_episode(policy: Policy, seed: int) -> list[StepRecord]:
-    state, observation = reset(seed)
+    episode, observation = begin(seed)
     policy_rng = random.Random(derive_seed(seed, "policy"))
     records: list[StepRecord] = []
-    while not is_terminal(state):
+    while not episode.done:
         action = policy(observation, policy_rng)
-        state, observation, reward = step(state, action)
+        observation, reward = episode.step(action)
         records.append(StepRecord(action=action, reward=reward, observation=observation))
     return records
 

@@ -54,10 +54,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    taus = [float(t) for t in args.tau]
-    if not taus:
-        raise ConfigError("sweep needs at least one --tau value")
-    entries = sweep_tau(config, taus, out_dir=args.out)
+    entries = sweep_tau(config, args.tau, out_dir=args.out)
     print(render_sweep_table(entries))
     if any(e.summary is None for e in entries):
         return 1
@@ -92,6 +89,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baselines(args: argparse.Namespace) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     targets = {
         "sleep": cal.REFERENCE_SLEEP_RETURN,
         "random": cal.REFERENCE_RANDOM_RETURN,

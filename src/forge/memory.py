@@ -129,6 +129,13 @@ class MemoryArtifact:
             raise ArtifactValidationError(f"artifact role must be an acting role, got {self.role}")
         if not self.text or not self.text.strip():
             raise ArtifactValidationError("artifact text must be non-empty")
+        # Snapshot files and the content hash are UTF-8; a lone surrogate
+        # (e.g. from a "\ud800" escape in a JSON reply) cannot be written.
+        try:
+            self.text.encode("utf-8")
+            self.artifact_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ArtifactValidationError(f"artifact text and id must be valid UTF-8: {exc}") from exc
         if self.kind is ArtifactKind.RULE and not _RULE_SHAPE.search(self.text):
             raise ArtifactValidationError("rule text must follow a 'When ..., then ...' shape")
         if self.kind is ArtifactKind.EXAMPLE:

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .protocol import ProtocolConfig, RunError, run_protocol
+from .protocol import ConfigError, ProtocolConfig, RunError, run_protocol
 
 logger = logging.getLogger(__name__)
 
@@ -230,7 +230,7 @@ def sweep_tau(
     counts its own tokens even when they share one ``connector``.
     """
     if any(t >= 0 for t in taus):
-        raise ValueError("all sweep thresholds must be negative")
+        raise ConfigError("all sweep thresholds must be negative")
 
     entries = []
     for tau in taus:

@@ -89,19 +89,22 @@ def run_attempt(
     """Run one episode, aborting on the first reward strictly below ``tau``.
 
     ``tau=None`` runs the episode frozen (no trigger), which is how
-    checkpoints and evaluations reuse this loop.
+    checkpoints and evaluations reuse this loop. ``env.begin(seed)`` returns
+    an episode with ``done``, ``step(action)`` and ``state()`` plus the first
+    observation; the episode is stepped in place, and its state is taken
+    only for an aborted attempt's snapshot.
     """
     if tau is not None and tau >= 0:
         raise ValueError("failure trigger must be negative")
     ctx = ctx or CallContext(instance=instance)
-    state, observation = env.reset(env_seed)
+    episode, observation = env.begin(env_seed)
     records: list[StepRecord] = []
-    while not env.is_terminal(state):
+    while not episode.done:
         try:
             decision = backend.decide(observation, memory, ctx)
         except ConnectorError as exc:
             raise AttemptError(f"backend failed during attempt: {exc}") from exc
-        state, observation, reward = env.step(state, decision.action)
+        observation, reward = episode.step(decision.action)
         records.append(StepRecord(action=decision.action, reward=reward, observation=observation))
         if tau is not None and reward < tau:
             failing_step = len(records) - 1
@@ -115,7 +118,7 @@ def run_attempt(
                     failing_step=failing_step,
                     failing_reward=reward,
                 ),
-                env_state=state,
+                env_state=episode.state(),
             )
             return AttemptOutcome(
                 status=AttemptStatus.ABORTED,

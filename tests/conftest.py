@@ -29,22 +29,34 @@ class FakeState:
     step: int
 
 
+class ScriptedRewardEpisode:
+    """Episode of :class:`ScriptedRewardEnv`, stepped in place."""
+
+    def __init__(self, rewards: list[float]):
+        self.rewards = rewards
+        self.step_index = 0
+
+    @property
+    def done(self) -> bool:
+        return self.step_index >= len(self.rewards)
+
+    def step(self, action: BlueAction):
+        reward = self.rewards[self.step_index]
+        self.step_index += 1
+        return blank_observation(self.step_index), reward
+
+    def state(self) -> FakeState:
+        return FakeState(self.step_index)
+
+
 class ScriptedRewardEnv:
     """Minimal episode driver emitting a fixed reward sequence."""
 
     def __init__(self, rewards: list[float]):
         self.rewards = list(rewards)
 
-    def reset(self, seed: int):
-        return FakeState(0), blank_observation(0)
-
-    def is_terminal(self, state: FakeState) -> bool:
-        return state.step >= len(self.rewards)
-
-    def step(self, state: FakeState, action: BlueAction):
-        reward = self.rewards[state.step]
-        new_state = FakeState(state.step + 1)
-        return new_state, blank_observation(new_state.step), reward
+    def begin(self, seed: int):
+        return ScriptedRewardEpisode(self.rewards), blank_observation(0)
 
 
 class MonitorBackend:

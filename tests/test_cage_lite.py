@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import statistics
@@ -146,6 +147,46 @@ class TestRewards:
             target = None if kind is ActionKind.MONITOR else data.draw(st.integers(0, 12))
             state, _, reward = env.step(state, BlueAction(kind, target))
             assert in_reward_groups(reward), REWARD_GROUPS
+
+
+def reference_reward_tenths(hosts, action_kind) -> int:
+    """The reward rule written out over per-subnet lists of compromised levels."""
+    compromised = [h.level >= CompromiseLevel.USER_ACCESS for h in hosts]
+    user = [hosts[h].level for h in cal.USER_HOSTS if compromised[h]]
+    servers = [hosts[h].level for h in cal.ENTERPRISE_HOSTS + cal.OPERATIONAL_HOSTS if compromised[h]]
+    if any(hosts[h].level == CompromiseLevel.ROOT_ACCESS for h in cal.OPERATIONAL_HOSTS):
+        tenths = cal.SEVERE_BASE_TENTHS
+        if any(compromised[h] for h in cal.ENTERPRISE_HOSTS):
+            tenths += cal.SEVERE_ENTERPRISE_EXTRA_TENTHS
+        if user:
+            tenths += cal.SEVERE_USER_EXTRA_TENTHS
+    elif servers:
+        root = CompromiseLevel.ROOT_ACCESS in servers
+        tenths = cal.MODERATE_ROOT_TENTHS if root else cal.MODERATE_BASE_TENTHS
+        if user:
+            tenths += cal.MODERATE_USER_EXTRA_TENTHS
+    elif user:
+        root = CompromiseLevel.ROOT_ACCESS in user
+        tenths = cal.SMALL_ROOT_TENTHS if root else cal.SMALL_USER_LEVEL_TENTHS
+    else:
+        tenths = 0
+    if action_kind is ActionKind.RESTORE:
+        tenths += cal.RESTORE_COST_TENTHS
+    return tenths
+
+
+class TestRewardRule:
+    @given(
+        st.lists(
+            st.builds(HostCompromise, st.sampled_from(CompromiseLevel), st.booleans()),
+            min_size=cal.HOST_COUNT,
+            max_size=cal.HOST_COUNT,
+        ),
+        st.sampled_from(ActionKind),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, hosts, kind):
+        assert env._reward_tenths(hosts, kind) == reference_reward_tenths(hosts, kind)
 
 
 class TestAttacker:
@@ -340,3 +381,57 @@ class TestRandomStream:
         action = BlueAction(ActionKind.ANALYSE, 0)
         first = env.step(state, action)
         assert env.step(state, action) == first
+
+
+ACTIONS = st.lists(st.sampled_from(env._ALL_ACTIONS), max_size=cal.EPISODE_LENGTH)
+
+
+class TestEpisode:
+    """``begin`` plus ``Episode.step`` against chained ``reset``/``step``."""
+
+    @given(st.integers(min_value=0, max_value=2**32), ACTIONS)
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_steps_match_pure_steps(self, seed, actions):
+        episode, observation = env.begin(seed)
+        state, pure_observation = env.reset(seed)
+        assert observation == pure_observation
+        assert episode.state() == state
+        for action in actions:
+            kept = copy.deepcopy(state)
+            next_state, pure_observation, pure_reward = env.step(state, action)
+            assert state == kept
+            observation, reward = episode.step(action)
+            assert (observation, reward) == (pure_observation, pure_reward)
+            state = next_state
+            assert episode.done == env.is_terminal(state)
+        final = episode.state()
+        assert final == state
+        assert final.rng_state == state.rng_state
+
+    @given(st.integers(min_value=0, max_value=2**32), ACTIONS)
+    @settings(max_examples=30, deadline=None)
+    def test_resume_round_trips_a_state(self, seed, actions):
+        state, _ = env.reset(seed)
+        for action in actions:
+            state, _, _ = env.step(state, action)
+        assert env.Episode.resume(state).state() == state
+
+    def test_done_episode_raises_terminal(self):
+        episode, _ = env.begin(8)
+        for _ in range(cal.EPISODE_LENGTH):
+            episode.step(BlueAction(ActionKind.MONITOR))
+        assert episode.done
+        final = episode.state()
+        with pytest.raises(EpisodeTerminalError):
+            episode.step(BlueAction(ActionKind.MONITOR))
+        assert episode.state() == final
+
+    def test_non_action_raises_invalid_action(self):
+        episode, _ = env.begin(8)
+        before = episode.state()
+        with pytest.raises(InvalidActionError):
+            episode.step("Monitor")
+        assert episode.state() == before
+        state, _ = env.reset(8)
+        with pytest.raises(InvalidActionError):
+            env.step(state, "Monitor")

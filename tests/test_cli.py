@@ -69,6 +69,18 @@ class TestRunVerb:
         assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
         assert not run_dir.exists()
 
+    def test_directory_as_config_is_config_error(self, tmp_path):
+        run_dir = tmp_path / "s"
+        assert main(["run", "--config", str(tmp_path), "--run-dir", str(run_dir)]) == 2
+        assert not run_dir.exists()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_bytes(CONFIG.encode("utf-8") + b"model: \xff\xfe\n")
+        run_dir = tmp_path / "s"
+        assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+        assert not run_dir.exists()
+
     def test_null_max_workers_runs(self, tmp_path):
         config = write_config(tmp_path, CONFIG + "max_workers: null\n")
         assert main(["run", "--config", str(config), "--run-dir", str(tmp_path / "s")]) == 0
@@ -109,6 +121,14 @@ class TestSweepVerb:
         assert (tmp_path / "sweep" / "tau_-1.1" / "final_report.json").exists()
 
 
+    def test_non_negative_tau_is_config_error(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--tau", "-1.1", "0.5", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+
 class TestAggregateVerb:
     def test_aggregate_two_sessions(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -140,3 +160,8 @@ class TestBaselinesVerb:
         assert "-218.65" in out
         assert "[ -273.31, -163.99]  ok" in out  # sleep, inside target +/-25%
         assert "[  -73.54,  -44.12] OUT" in out  # heuristic, outside it over 5 episodes
+
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_non_positive_episodes_is_config_error(self, episodes, capsys):
+        assert main(["baselines", "--episodes", episodes]) == 2
+        assert "config error" in capsys.readouterr().err

@@ -32,9 +32,12 @@ EXAMPLE_TEXT = (
     "</example>"
 )
 
-# Any text; the line breaks YAML emitters treat specially (NEL, LS, PS) are
-# drawn as often as the rest of the alphabet together.
-ANY_TEXT = st.text(st.characters() | st.sampled_from("\x85\u2028\u2029"))
+# Any text an artifact admits (every character but the lone surrogates, which
+# UTF-8 cannot encode); the line breaks YAML emitters treat specially (NEL,
+# LS, PS) are drawn as often as the rest of the alphabet together.
+ANY_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from("\x85\u2028\u2029")
+)
 
 
 def rule(host: int = 6, role: Role = Role.PLANNER, stage: int = 1, attempt: int = 1,
@@ -79,6 +82,18 @@ class TestArtifactValidation:
                 kind=ArtifactKind.RULE,
                 role=Role.REFLECTOR,
                 text="When x, then y.",
+            )
+
+    @pytest.mark.parametrize(
+        "text, artifact_id",
+        [("When host \ud800 is compromised, then restore host 6.", "r"),
+         ("When host 6 is compromised, then restore host 6.", "rule-\udfff")],
+        ids=["text", "artifact_id"],
+    )
+    def test_lone_surrogate_rejected(self, text, artifact_id):
+        with pytest.raises(ArtifactValidationError):
+            MemoryArtifact(
+                kind=ArtifactKind.RULE, role=Role.PLANNER, text=text, artifact_id=artifact_id
             )
 
     def test_unknown_clause_response_rejected(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import MonitorBackend, ScriptedRewardEnv
@@ -275,3 +277,62 @@ class TestSynthesizeDispatch:
         delta = synthesize(outcome.snapshot, Representation.RULES, ScriptedBackend())
         assert all(a.kind is ArtifactKind.RULE for a in delta.additions)
         assert all(a.role is Role.PLANNER for a in delta.additions)
+
+
+@pytest.fixture
+def generator_state_copies(monkeypatch):
+    """Counts ``random.Random.setstate``/``getstate`` calls while the test runs."""
+    counts = {"setstate": 0, "getstate": 0}
+    for name in counts:
+        original = getattr(random.Random, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(random.Random, name, counting)
+    return counts
+
+
+class TestEpisodeSteppedInPlace:
+    """``run_attempt`` steps one live generator; it never copies its state per step."""
+
+    SEEDS = range(12)
+
+    def test_no_generator_state_copies_per_step(self, generator_state_copies):
+        backend = ScriptedBackend()
+        memory = default_memory()
+        aborted = 0
+        for seed in self.SEEDS:
+            before = dict(generator_state_copies)
+            outcome = run_attempt(memory, seed, -1.1, backend)
+            setstate = generator_state_copies["setstate"] - before["setstate"]
+            getstate = generator_state_copies["getstate"] - before["getstate"]
+            assert setstate == 0
+            if outcome.status is AttemptStatus.ABORTED:
+                aborted += 1
+                assert getstate <= 1
+            else:
+                assert getstate == 0
+        for seed in self.SEEDS:
+            run_frozen_episode(memory, seed, backend)
+        assert aborted > 0
+        assert generator_state_copies["setstate"] == 0
+        assert generator_state_copies["getstate"] <= aborted
+
+    def test_aborted_env_state_equals_pure_step_state(self):
+        backend = ScriptedBackend()
+        aborted = 0
+        for seed in self.SEEDS:
+            outcome = run_attempt(default_memory(), seed, -1.1, backend)
+            if outcome.status is not AttemptStatus.ABORTED:
+                continue
+            aborted += 1
+            snapshot = outcome.snapshot
+            state, _ = env.reset(seed)
+            for record in outcome.trajectory:
+                state, observation, reward = env.step(state, record.action)
+                assert (observation, reward) == (record.observation, record.reward)
+            assert len(outcome.trajectory) == snapshot.metadata.failing_step + 1
+            assert snapshot.env_state == state
+        assert aborted > 0
