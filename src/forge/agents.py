@@ -54,10 +54,6 @@ SUBAGENT_CALL_BUDGET = 6
 PARSE_REPROMPTS = 2
 
 
-class RoleConfigError(ValueError):
-    """A role definition violates the protocol's sampling constraints."""
-
-
 def output_token_cap(role: Role) -> int:
     """Learning agents may write twice as much as acting ones."""
     return ACTING_MAX_OUTPUT_TOKENS if role in ACTING_ROLES else LEARNING_MAX_OUTPUT_TOKENS
@@ -69,15 +65,6 @@ class AgentRoleConfig:
     system_prompt: str
     temperature: float = 0.0
     max_output_tokens: int = ACTING_MAX_OUTPUT_TOKENS
-
-    def __post_init__(self) -> None:
-        if self.temperature != 0.0:
-            raise RoleConfigError(f"{self.role.value}: protocol roles run at temperature 0")
-        cap = output_token_cap(self.role)
-        if not 0 < self.max_output_tokens <= cap:
-            raise RoleConfigError(
-                f"{self.role.value}: max_output_tokens must be in (0, {cap}]"
-            )
 
 
 ACTION_REFERENCE_TABLE = f"""{ACTION_TABLE_MARKER}
@@ -677,10 +664,9 @@ class LLMBackend:
         self, snapshot: "FailureSnapshot", origin: Origin, ctx: CallContext | None = None
     ) -> list[MemoryArtifact]:
         ctx = ctx or CallContext(instance=origin.instance)
-        prompt = serialize_snapshot(snapshot)
         messages = [
             ChatMessage("system", self._system_prompt(Role.REFLECTOR, snapshot.memory_at_failure)),
-            ChatMessage("user", prompt),
+            ChatMessage("user", snapshot.text),
         ]
         for round_ in range(PARSE_REPROMPTS + 1):
             text = self._complete(Role.REFLECTOR, messages, ctx).content
@@ -702,12 +688,11 @@ class LLMBackend:
         self, snapshot: "FailureSnapshot", origin: Origin, ctx: CallContext | None = None
     ) -> list[MemoryArtifact]:
         ctx = ctx or CallContext(instance=origin.instance)
-        prompt = serialize_snapshot(snapshot)
         messages = [
             ChatMessage(
                 "system", self._system_prompt(Role.EXEMPLIFIER, snapshot.memory_at_failure)
             ),
-            ChatMessage("user", prompt),
+            ChatMessage("user", snapshot.text),
         ]
         for round_ in range(PARSE_REPROMPTS + 1):
             text = self._complete(Role.EXEMPLIFIER, messages, ctx).content

@@ -1,8 +1,10 @@
-"""Chat-completion transport plus a deterministic record/replay mock.
+"""Chat-completion transport plus a deterministic offline mock.
 
-Every completion, real or mocked, reports token usage; the shared
-:class:`TokenLedger` is the single source of truth for token accounting and
-feeds both the append-only usage log and the run report totals.
+The mock answers each request with a pure function of it, so equal requests
+get equal replies with no cache or recorded fixtures. Every completion, real
+or mocked, reports token usage; the shared :class:`TokenLedger` is the single
+source of truth for token accounting and feeds both the append-only usage log
+and the run report totals.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -25,10 +27,6 @@ class ConnectorError(RuntimeError):
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
         self.status = status
-
-
-class FixtureMissingError(ConnectorError):
-    """Strict-replay mock had no fixture for a request."""
 
 
 @dataclass(frozen=True)
@@ -193,73 +191,23 @@ def _request_usage(request: ChatRequest, content: str) -> TokenUsage:
 Responder = Callable[[ChatRequest], str]
 
 
-@dataclass
-class Fixture:
-    content: str
-    prompt_tokens: int
-    completion_tokens: int
-
-
 class MockConnector:
-    """Deterministic connector: replays fixtures keyed by request hash.
+    """Deterministic offline connector: the reply is a pure function of the request.
 
-    With a ``responder`` the connector synthesizes (and records) a response
-    on first sight of a request; in strict mode an unknown request raises
-    :class:`FixtureMissingError` instead.
+    Each call asks ``responder`` for the reply text and reports whitespace
+    token counts of the prompt and the reply as its usage.
     """
 
-    def __init__(
-        self,
-        fixtures: dict[str, Fixture] | None = None,
-        responder: Responder | None = None,
-        strict: bool = False,
-        ledger: TokenLedger | None = None,
-    ):
-        self.fixtures: dict[str, Fixture] = dict(fixtures or {})
+    def __init__(self, responder: Responder, ledger: TokenLedger | None = None):
         self.responder = responder
-        self.strict = strict
         self.ledger = ledger
-        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest, meta: RequestMeta | None = None) -> ChatResponse:
-        key = request.content_hash()
-        with self._lock:
-            fixture = self.fixtures.get(key)
-            if fixture is None:
-                if self.strict or self.responder is None:
-                    raise FixtureMissingError(f"no fixture recorded for request {key[:12]}")
-                content = self.responder(request)
-                usage = _request_usage(request, content)
-                fixture = Fixture(content, usage.prompt_tokens, usage.completion_tokens)
-                self.fixtures[key] = fixture
-        usage = TokenUsage(fixture.prompt_tokens, fixture.completion_tokens)
+        content = self.responder(request)
+        usage = _request_usage(request, content)
         if self.ledger is not None and meta is not None:
             self.ledger.record(meta, usage)
-        return ChatResponse(content=fixture.content, usage=usage, provider_latency=0.0)
-
-    def save_fixtures(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = {
-            key: {
-                "content": f.content,
-                "prompt_tokens": f.prompt_tokens,
-                "completion_tokens": f.completion_tokens,
-            }
-            for key, f in sorted(self.fixtures.items())
-        }
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load_fixtures(
-        cls, path: str | Path, strict: bool = True, ledger: TokenLedger | None = None
-    ) -> "MockConnector":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        fixtures = {
-            key: Fixture(v["content"], int(v["prompt_tokens"]), int(v["completion_tokens"]))
-            for key, v in raw.items()
-        }
-        return cls(fixtures=fixtures, strict=strict, ledger=ledger)
+        return ChatResponse(content=content, usage=usage, provider_latency=0.0)
 
 
 # transport(url, headers, payload) -> (status_code, parsed_json)

@@ -307,10 +307,9 @@ def dump_yaml(data) -> str:
     return yaml.dump(data, Dumper=CSafeDumper, sort_keys=True, allow_unicode=True)
 
 
-def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
+def workspace_texts(memory: InstanceMemory) -> dict[str, str]:
+    """File name -> YAML text of each (role, kind) snapshot file of ``memory``."""
+    texts = {}
     for role in ACTING_ROLES:
         for kind, filename in _KIND_FILENAME.items():
             artifacts = [
@@ -318,9 +317,27 @@ def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
                 for i, a in enumerate(memory.dynamic[role])
                 if a.kind is kind
             ]
-            path = directory / f"{role.value}_{filename}"
-            path.write_text(dump_yaml(artifacts), encoding="utf-8")
-            written.append(path)
+            texts[f"{role.value}_{filename}"] = dump_yaml(artifacts)
+    return texts
+
+
+def save_workspace(
+    memory: InstanceMemory, directory: str | Path, texts: dict[str, str] | None = None
+) -> list[Path]:
+    """Write the snapshot files of ``memory`` into ``directory``.
+
+    ``texts`` is ``workspace_texts(memory)`` when the caller already has it,
+    e.g. for a memory that several instances share after a broadcast.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    if texts is None:
+        texts = workspace_texts(memory)
+    written = []
+    for name, text in texts.items():
+        path = directory / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
     return written
 
 

@@ -32,7 +32,13 @@ from .agents import (
     mock_responder,
 )
 from .llm_connector import HttpConnector, MockConnector, TokenLedger
-from .memory import InstanceMemory, Representation, replace_dynamic, save_workspace
+from .memory import (
+    InstanceMemory,
+    Representation,
+    replace_dynamic,
+    save_workspace,
+    workspace_texts,
+)
 from .reflexion import AttemptError, AttemptSummary, reflexion_loop, run_frozen_episode
 from .seeding import derive_seed
 
@@ -572,7 +578,14 @@ def _run_stages(
                     run_path / f"stage_summary_{stage:02d}.json",
                     json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
                 )
+                # Equal content hashes mean equal memories, hence equal files:
+                # after a broadcast every active instance shares the
+                # champion's, so each distinct memory is dumped once.
+                texts: dict[str, dict[str, str]] = {}
                 for p in population:
+                    digest = memory_hashes[p.instance]
+                    if digest not in texts:
+                        texts[digest] = workspace_texts(p.memory)
                     save_workspace(
                         p.memory,
                         run_path
@@ -580,6 +593,7 @@ def _run_stages(
                         / f"instance_{p.instance:02d}"
                         / f"stage_{stage:02d}"
                         / "memory",
+                        texts[digest],
                     )
 
     eval_returns = evaluate({p.instance: p.memory for p in population}, config, backend)

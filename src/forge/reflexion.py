@@ -12,6 +12,7 @@ the default trigger of -1.1, so routine remediation does not fire it.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,11 @@ class FailureSnapshot:
     memory_at_failure: InstanceMemory
     metadata: SnapshotMeta
     env_state: EnvState
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The snapshot as the learning agents read it, built on first use."""
+        return serialize_snapshot(self)
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ def _write_attempt_artifacts(
             "failing_step": meta.failing_step,
             "failing_reward": meta.failing_reward,
             "failing_host": deepest_compromised_chain_host(outcome.snapshot.env_state),
-            "snapshot_text": serialize_snapshot(outcome.snapshot),
+            "snapshot_text": outcome.snapshot.text,
         }
         (attempt_dir / "snapshot.yaml").write_text(dump_yaml(payload), encoding="utf-8")
 

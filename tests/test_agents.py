@@ -9,14 +9,13 @@ from conftest import blank_observation, flags_for
 from forge import cage_lite as env
 from forge.agents import (
     ACTION_REFERENCE_TABLE,
-    AgentRoleConfig,
     CallContext,
     LLMBackend,
-    RoleConfigError,
     ScriptedBackend,
     default_memory,
     default_role_configs,
     mock_responder,
+    output_token_cap,
     parse_action,
     parse_rule_clause,
     serialize_observation,
@@ -48,13 +47,13 @@ def clause_rule(host: int, response: str = "Restore", trigger: str = "compromise
 
 
 class TestRoleConfigs:
-    def test_nonzero_temperature_rejected(self):
-        with pytest.raises(RoleConfigError):
-            AgentRoleConfig(role=Role.PLANNER, system_prompt="x", temperature=0.7)
-
-    def test_acting_token_cap(self):
-        with pytest.raises(RoleConfigError):
-            AgentRoleConfig(role=Role.PLANNER, system_prompt="x", max_output_tokens=20_000)
+    def test_defaults_run_at_temperature_zero_within_output_cap(self):
+        configs = default_role_configs()
+        assert set(configs) == set(Role)
+        for role, config in configs.items():
+            assert config.role is role
+            assert config.temperature == 0.0
+            assert 0 < config.max_output_tokens <= output_token_cap(role)
 
     def test_learning_roles_get_larger_cap(self):
         config = default_role_configs()
@@ -289,15 +288,6 @@ class TestParsing:
         assert parse_rule_clause("When things look bad, then escalate.") is None
 
 
-def fixture_connector(pairs: list[tuple[ChatRequest, str]]) -> MockConnector:
-    connector = MockConnector(strict=True)
-    from forge.llm_connector import Fixture
-
-    for request, content in pairs:
-        connector.fixtures[request.content_hash()] = Fixture(content, 1, 1)
-    return connector
-
-
 class RecordingConnector:
     """Wraps a connector and keeps every request for prompt inspection."""
 
@@ -317,8 +307,6 @@ class TestLLMBackend:
         assert decision.action == BlueAction(ActionKind.MONITOR)
 
     def test_tool_call_loop_consults_subagents(self, memory):
-        connector = RecordingConnector(MockConnector(responder=None, strict=False))
-
         def responder(request: ChatRequest) -> str:
             system = request.messages[0].content
             if "You are the Analyst" in system:
@@ -330,8 +318,7 @@ class TestLLMBackend:
                 return "Thought: check host 6.\nTool: analyse host=6"
             return "Thought: confirmed.\nAnswer: Restore 6"
 
-        connector.inner.responder = responder
-        backend = LLMBackend(connector)
+        backend = LLMBackend(MockConnector(responder=responder))
         observation = blank_observation(anomalous_process=flags_for([6]))
         decision = backend.decide(observation, memory, CallContext())
         assert decision.action == BlueAction(ActionKind.RESTORE, 6)

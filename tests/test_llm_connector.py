@@ -9,8 +9,6 @@ from forge.llm_connector import (
     ChatMessage,
     ChatRequest,
     ConnectorError,
-    Fixture,
-    FixtureMissingError,
     HttpConnector,
     MockConnector,
     RequestMeta,
@@ -29,39 +27,16 @@ META = RequestMeta(instance=1, role="planner", phase="adaptation")
 
 
 class TestMock:
-    def test_fixture_replay(self):
-        req = request()
-        connector = MockConnector(
-            fixtures={req.content_hash(): Fixture("Answer: Monitor", 2, 2)}, strict=True
-        )
-        response = connector.complete(req, META)
-        assert response.content == "Answer: Monitor"
-        assert response.usage == TokenUsage(2, 2)
-
     def test_same_request_twice_identical(self):
         connector = MockConnector(responder=lambda r: "ok " + r.content_hash()[:6])
         first = connector.complete(request(), META)
         second = connector.complete(request(), META)
         assert first == second
 
-    def test_strict_miss_raises(self):
-        connector = MockConnector(strict=True)
-        with pytest.raises(FixtureMissingError):
-            connector.complete(request(), META)
-
     def test_responder_records_usage_by_whitespace_tokens(self):
         connector = MockConnector(responder=lambda r: "three word reply")
         response = connector.complete(request("two words"), META)
         assert response.usage == TokenUsage(prompt_tokens=2, completion_tokens=3)
-
-    def test_fixture_file_round_trip(self, tmp_path):
-        connector = MockConnector(responder=lambda r: "fixed response")
-        original = connector.complete(request(), META)
-        path = tmp_path / "fixtures.json"
-        connector.save_fixtures(path)
-        replayed = MockConnector.load_fixtures(path).complete(request(), META)
-        assert replayed.content == original.content
-        assert replayed.usage == original.usage
 
     def test_ledger_receives_usage(self):
         ledger = TokenLedger()

@@ -8,14 +8,17 @@ import time
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import MonitorBackend, ScriptedRewardEnv
+from forge import agents, memory as memory_module, protocol, reflexion
 from forge.agents import LLMBackend, ScriptedBackend, default_memory, mock_responder
 from forge.llm_connector import (
     ChatMessage,
     ChatRequest,
     ConnectorError,
     HttpConnector,
+    MockConnector,
     TokenLedger,
     approx_tokens,
 )
@@ -460,6 +463,92 @@ class TestRunProtocol:
         pristine = default_persistent()
         for state in result.population:
             assert state.memory.persistent == pristine
+
+
+class TestRunDirectoryWrites:
+    """Each value written to a run directory is serialized once."""
+
+    def test_memory_snapshots_dumped_once_per_distinct_memory(self, tmp_path, monkeypatch):
+        # Dumps made by the memory module and the stage directory of each save,
+        # in call order; a save's dumps come before its own marker.
+        events: list[str] = []
+        saved: list[tuple] = []
+        dump_yaml = memory_module.dump_yaml
+        save_workspace = protocol.save_workspace
+
+        def counting_dump(data):
+            events.append("dump")
+            return dump_yaml(data)
+
+        def recording_save(memory, directory, *args):
+            paths = save_workspace(memory, directory, *args)
+            saved.append((memory.clone(), Path(directory)))
+            events.append(Path(directory).parent.name)
+            return paths
+
+        monkeypatch.setattr(memory_module, "dump_yaml", counting_dump)
+        monkeypatch.setattr(protocol, "save_workspace", recording_save)
+        config = small_config(stages=3, representation=Representation.MIXED)
+        result = run_protocol(config, run_dir=tmp_path / "run")
+
+        dumps_by_stage: dict[str, int] = {}
+        pending = 0
+        for event in events:
+            if event == "dump":
+                pending += 1
+            else:
+                dumps_by_stage[event] = dumps_by_stage.get(event, 0) + pending
+                pending = 0
+        assert pending == 0
+        distinct = {
+            f"stage_{r.stage:02d}": len(set(r.memory_hashes.values()))
+            for r in result.report.stage_reports
+        }
+        assert min(distinct.values()) < config.instances, "expected a broadcast to share memories"
+        assert dumps_by_stage == {stage: 6 * n for stage, n in distinct.items()}
+
+        assert len(saved) == config.instances * config.stages
+        for k, (memory, directory) in enumerate(saved):
+            fresh = memory_module.save_workspace(memory, tmp_path / "fresh" / str(k))
+            assert sorted(p.name for p in directory.iterdir()) == sorted(p.name for p in fresh)
+            for path in fresh:
+                assert (directory / path.name).read_bytes() == path.read_bytes()
+
+    def test_failure_text_serialized_once_per_aborted_attempt(self, tmp_path, monkeypatch):
+        calls = []
+        serialize_snapshot = agents.serialize_snapshot
+
+        def counting(snapshot):
+            calls.append(snapshot.metadata)
+            return serialize_snapshot(snapshot)
+
+        monkeypatch.setattr(agents, "serialize_snapshot", counting)
+        monkeypatch.setattr(reflexion, "serialize_snapshot", counting)
+        requests: list[ChatRequest] = []
+
+        def recording_responder(request: ChatRequest) -> str:
+            requests.append(request)
+            return mock_responder(request)
+
+        run_protocol(
+            small_config(representation=Representation.MIXED),
+            run_dir=tmp_path,
+            connector=MockConnector(responder=recording_responder),
+        )
+        snapshots = [
+            yaml.safe_load(path.read_text(encoding="utf-8"))
+            for path in sorted(tmp_path.glob("workspaces/*/*/*/snapshot.yaml"))
+        ]
+        assert snapshots, "expected aborted attempts on the mock backend"
+        assert len(calls) == len(snapshots)
+        texts = sorted(s["snapshot_text"] for s in snapshots)
+        for role in ("Reflector", "Exemplifier"):
+            received = sorted(
+                r.messages[1].content
+                for r in requests
+                if r.messages[0].content.startswith(f"You are the {role}")
+            )
+            assert received == texts
 
 
 class TestZeroShot:
