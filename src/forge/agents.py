@@ -54,6 +54,10 @@ SUBAGENT_CALL_BUDGET = 6
 PARSE_REPROMPTS = 2
 
 
+class RoleConfigError(ValueError):
+    """A role definition violates the protocol's sampling constraints."""
+
+
 def output_token_cap(role: Role) -> int:
     """Learning agents may write twice as much as acting ones."""
     return ACTING_MAX_OUTPUT_TOKENS if role in ACTING_ROLES else LEARNING_MAX_OUTPUT_TOKENS
@@ -65,6 +69,15 @@ class AgentRoleConfig:
     system_prompt: str
     temperature: float = 0.0
     max_output_tokens: int = ACTING_MAX_OUTPUT_TOKENS
+
+    def __post_init__(self) -> None:
+        if self.temperature != 0.0:
+            raise RoleConfigError(f"{self.role.value}: protocol roles run at temperature 0")
+        cap = output_token_cap(self.role)
+        if not 0 < self.max_output_tokens <= cap:
+            raise RoleConfigError(
+                f"{self.role.value}: max_output_tokens must be in (0, {cap}]"
+            )
 
 
 ACTION_REFERENCE_TABLE = f"""{ACTION_TABLE_MARKER}

@@ -9,8 +9,10 @@ from conftest import blank_observation, flags_for
 from forge import cage_lite as env
 from forge.agents import (
     ACTION_REFERENCE_TABLE,
+    AgentRoleConfig,
     CallContext,
     LLMBackend,
+    RoleConfigError,
     ScriptedBackend,
     default_memory,
     default_role_configs,
@@ -47,6 +49,14 @@ def clause_rule(host: int, response: str = "Restore", trigger: str = "compromise
 
 
 class TestRoleConfigs:
+    def test_nonzero_temperature_rejected(self):
+        with pytest.raises(RoleConfigError):
+            AgentRoleConfig(role=Role.PLANNER, system_prompt="x", temperature=0.7)
+
+    def test_acting_token_cap(self):
+        with pytest.raises(RoleConfigError):
+            AgentRoleConfig(role=Role.PLANNER, system_prompt="x", max_output_tokens=20_000)
+
     def test_defaults_run_at_temperature_zero_within_output_cap(self):
         configs = default_role_configs()
         assert set(configs) == set(Role)
