@@ -1,10 +1,11 @@
-"""Hierarchical defender agents: a Planner delegating to Analyst and
-ActionChooser sub-agents, with two interchangeable policy backends.
+"""Defender agents: two interchangeable policy backends over one memory.
 
-The scripted backend is a deterministic function of (observation, memory):
-learned clauses fire first, then a confirmed inspection is acted on, then a
-naive flag-triage default. The LLM backend drives the same hierarchy through
-chat completions, parsing tool calls and a final ``Answer:`` line.
+The LLM backend is the hierarchical agent: a Planner that consults Analyst
+and ActionChooser sub-agents through tool calls in chat completions, and
+finishes with a final ``Answer:`` line. The scripted backend is a
+deterministic function of (observation, memory): learned clauses fire first,
+and otherwise it plays ``cage_lite.heuristic_policy``, the reference
+heuristic that ``forge baselines`` reports.
 
 The planner deliberately receives no action reference table; only the
 ActionChooser and the learning agents (Reflector, Exemplifier) hold it, so
@@ -25,8 +26,9 @@ from .cage_lite import (
     CompromiseLevel,
     InvalidActionError,
     Observation,
-    Subnet,
+    deepest_compromised_chain_host,
     format_step_record,
+    heuristic_policy,
     subnet_of,
 )
 from .llm_connector import ChatMessage, ChatRequest, ChatResponse, RequestMeta, TokenLedger
@@ -159,13 +161,6 @@ class CallContext:
 
 
 @dataclass(frozen=True)
-class SubagentCall:
-    role: Role
-    request: str
-    response: str
-
-
-@dataclass(frozen=True)
 class Analysis:
     severity: str
     summary: str
@@ -176,24 +171,6 @@ class Analysis:
 class RankedAction:
     action: BlueAction
     confidence: float
-
-
-@dataclass(frozen=True)
-class ActionDecision:
-    action: BlueAction
-    rationale: str
-    subagent_calls: tuple[SubagentCall, ...] = ()
-
-
-def severity_of_flags(anomalous: bool, suspicious: bool, new_file: bool) -> str:
-    score = 2 * anomalous + suspicious + new_file
-    if score == 0:
-        return "none"
-    if score == 1:
-        return "low"
-    if score == 2:
-        return "medium"
-    return "high"
 
 
 def clause_matches(clause: Clause, observation: Observation, confirmed_host: int | None) -> bool:
@@ -248,8 +225,6 @@ def serialize_observation(observation: Observation) -> str:
 def serialize_snapshot(snapshot: "FailureSnapshot") -> str:
     """Flatten a failure snapshot into the text given to learning agents."""
     meta = snapshot.metadata
-    from .cage_lite import deepest_compromised_chain_host
-
     failing_host = deepest_compromised_chain_host(snapshot.env_state)
     lines = [
         f"instance={meta.instance} stage={meta.stage} attempt={meta.attempt}",
@@ -271,10 +246,11 @@ def serialize_snapshot(snapshot: "FailureSnapshot") -> str:
 class ScriptedBackend:
     """Deterministic clause-interpreting policy; no tokens, no I/O.
 
-    Remediation discipline mirrors the environment's reference heuristic:
-    flagged hosts are analysed in index order and a Restore is only issued
-    once an inspection confirms compromise. Learned clauses bypass that
-    triage entirely, which is exactly the edge learning is supposed to buy.
+    The first learned clause that fires decides the step. Without one the
+    backend falls back to ``heuristic_policy``: flagged hosts are analysed
+    in index order and a Restore is only issued once an inspection confirms
+    compromise. Learned clauses bypass that triage entirely, which is
+    exactly the edge learning is supposed to buy.
     """
 
     def __init__(self, representation: Representation = Representation.MIXED):
@@ -289,7 +265,7 @@ class ScriptedBackend:
         observation: Observation,
         memory: InstanceMemory,
         ctx: CallContext | None = None,
-    ) -> ActionDecision:
+    ) -> BlueAction:
         confirmed = observation.confirmed_host()
         admits = self.representation.admits
         # Same order as ``memory.artifacts(self.representation)``, without the list.
@@ -301,91 +277,8 @@ class ScriptedBackend:
                     and admits(artifact.kind)
                     and clause_matches(clause, observation, confirmed)
                 ):
-                    return ActionDecision(
-                        action=clause_action(clause),
-                        rationale=f"clause match on artifact {artifact.artifact_id or '<unnamed>'}",
-                    )
-
-        calls: list[SubagentCall] = []
-        if confirmed is not None:
-            context = {"host": confirmed, "severity": "high", "situation": "confirmed"}
-            ranking = self.rank_actions(context, memory)
-            calls.append(
-                SubagentCall(Role.ACTION_CHOOSER, json.dumps(context, sort_keys=True), _ranking_text(ranking))
-            )
-            return ActionDecision(
-                action=ranking[0].action,
-                rationale=f"inspection confirmed compromise on host {confirmed}",
-                subagent_calls=tuple(calls),
-            )
-
-        flagged = observation.flagged_hosts()
-        if not flagged:
-            return ActionDecision(BlueAction(ActionKind.MONITOR), "no indicators raised")
-
-        host = flagged[0]  # naive triage: first flagged host wins attention
-        analysis = self.analyse(host, observation, memory)
-        calls.append(SubagentCall(Role.ANALYST, f"host={host}", _analysis_text(analysis)))
-        context = {"host": host, "severity": analysis.severity, "situation": "unconfirmed"}
-        ranking = self.rank_actions(context, memory)
-        calls.append(
-            SubagentCall(Role.ACTION_CHOOSER, json.dumps(context, sort_keys=True), _ranking_text(ranking))
-        )
-        return ActionDecision(
-            action=ranking[0].action,
-            rationale=f"triage of flagged host {host} ({analysis.severity})",
-            subagent_calls=tuple(calls),
-        )
-
-    def analyse(
-        self, host: int, observation: Observation, memory: InstanceMemory
-    ) -> Analysis:
-        anomalous, suspicious, new_file = observation.flags(host)
-        severity = severity_of_flags(anomalous, suspicious, new_file)
-        if observation.confirmed_host() == host:
-            severity = "high"
-        cited = [
-            a.artifact_id or "<unnamed>"
-            for a in memory.artifacts(self.representation, role=Role.ANALYST)
-            if a.clause is not None and a.clause.host == host
-        ]
-        summary = f"host {host}: {_flag_text(observation, host)}"
-        if cited:
-            summary += f" (see {', '.join(cited)})"
-        focus = {
-            "none": "monitoring",
-            "low": "investigation",
-            "medium": "investigation",
-            "high": "containment",
-        }[severity]
-        return Analysis(severity=severity, summary=summary, recommended_focus=focus)
-
-    def rank_actions(self, context: dict, memory: InstanceMemory) -> list[RankedAction]:
-        host = context.get("host")
-        severity = context.get("severity", "none")
-        situation = context.get("situation", "unconfirmed")
-        monitor = BlueAction(ActionKind.MONITOR)
-        if severity == "none" or host is None:
-            return [RankedAction(monitor, 1.0)]
-        host = int(host)
-        analyse = BlueAction(ActionKind.ANALYSE, host)
-        restore = BlueAction(ActionKind.RESTORE, host)
-        if severity in ("low", "medium"):
-            confidence = 0.8 if severity == "low" else 0.85
-            return [RankedAction(analyse, confidence), RankedAction(monitor, 0.3)]
-        if situation == "confirmed":
-            if subnet_of(host) is Subnet.USER:
-                second = RankedAction(BlueAction(ActionKind.REMOVE, host), 0.7)
-            else:
-                second = RankedAction(BlueAction(ActionKind.DECOY, host), 0.5)
-            return [RankedAction(restore, 0.95), second, RankedAction(monitor, 0.1)]
-        # high severity, unconfirmed: investigate first, remediation next
-        return [
-            RankedAction(analyse, 0.85),
-            RankedAction(restore, 0.6),
-            RankedAction(BlueAction(ActionKind.DECOY, host), 0.4),
-            RankedAction(monitor, 0.1),
-        ]
+                    return clause_action(clause)
+        return heuristic_policy(observation, None)
 
     # -- learning ----------------------------------------------------------
 
@@ -563,13 +456,12 @@ class LLMBackend:
         observation: Observation,
         memory: InstanceMemory,
         ctx: CallContext | None = None,
-    ) -> ActionDecision:
+    ) -> BlueAction:
         ctx = ctx or CallContext()
         messages = [
             ChatMessage("system", self._system_prompt(Role.PLANNER, memory)),
             ChatMessage("user", "Observation:\n" + serialize_observation(observation)),
         ]
-        calls: list[SubagentCall] = []
         tool_calls = 0
         reprompts = 0
         while True:
@@ -578,14 +470,12 @@ class LLMBackend:
             if tool and tool_calls < SUBAGENT_CALL_BUDGET:
                 tool_calls += 1
                 result = self._run_tool(tool, observation, memory, ctx)
-                calls.append(result)
                 messages.append(ChatMessage("assistant", text))
-                messages.append(ChatMessage("user", f"Observation: {result.response}"))
+                messages.append(ChatMessage("user", f"Observation: {result}"))
                 continue
             action = parse_action(text)
             if action is not None:
-                rationale = text.strip().splitlines()[0] if text.strip() else "llm decision"
-                return ActionDecision(action, rationale, tuple(calls))
+                return action
             if reprompts < PARSE_REPROMPTS:
                 reprompts += 1
                 messages.append(ChatMessage("assistant", text))
@@ -601,25 +491,22 @@ class LLMBackend:
                 "planner output unparseable after %d reprompts; falling back to Monitor",
                 PARSE_REPROMPTS,
             )
-            return ActionDecision(
-                BlueAction(ActionKind.MONITOR), "parse-failure fallback", tuple(calls)
-            )
+            return BlueAction(ActionKind.MONITOR)
 
     def _run_tool(
         self, tool: re.Match, observation: Observation, memory: InstanceMemory, ctx: CallContext
-    ) -> SubagentCall:
+    ) -> str:
+        """Run the sub-agent named by a planner tool line; return its response text."""
         name = tool.group(1).lower()
         host = int(tool.group(2))
         if name == "analyse":
-            analysis = self.analyse(host, observation, memory, ctx)
-            return SubagentCall(Role.ANALYST, tool.group(0), _analysis_text(analysis))
+            return _analysis_text(self.analyse(host, observation, memory, ctx))
         context = {
             "host": host,
             "severity": (tool.group(3) or "medium").lower(),
             "situation": (tool.group(4) or "unconfirmed").lower(),
         }
-        ranking = self.rank_actions(context, memory, ctx)
-        return SubagentCall(Role.ACTION_CHOOSER, tool.group(0), _ranking_text(ranking))
+        return _ranking_text(self.rank_actions(context, memory, ctx))
 
     def analyse(
         self,

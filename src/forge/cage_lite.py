@@ -469,7 +469,7 @@ def random_policy(observation: Observation, rng: random.Random) -> BlueAction:
     return _ALL_ACTIONS[rng.randrange(len(_ALL_ACTIONS))]
 
 
-def heuristic_policy(observation: Observation, rng: random.Random) -> BlueAction:
+def heuristic_policy(observation: Observation, rng: random.Random | None) -> BlueAction:
     """Analyse flagged hosts, Restore hosts whose compromise was confirmed.
 
     Triage is naive: flagged hosts are inspected in index order, so false

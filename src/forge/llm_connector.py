@@ -274,12 +274,17 @@ class HttpConnector:
             if status != 200:
                 raise ConnectorError(f"provider returned status {status}", status=status)
             latency = time.monotonic() - started
-            content = body["choices"][0]["message"]["content"]
-            usage_raw = body.get("usage", {})
-            usage = TokenUsage(
-                prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-                completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-            )
+            try:
+                content = body["choices"][0]["message"]["content"]
+                usage_raw = body.get("usage", {})
+                usage = TokenUsage(
+                    prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
+                    completion_tokens=int(usage_raw.get("completion_tokens", 0)),
+                )
+            except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+                raise ConnectorError(f"malformed provider reply: {exc!r}", status=200) from exc
+            if not isinstance(content, str):
+                raise ConnectorError("provider reply content is not text", status=200)
             if self.ledger is not None and meta is not None:
                 self.ledger.record(meta, usage)
             if attempt:

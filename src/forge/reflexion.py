@@ -107,11 +107,11 @@ def run_attempt(
     records: list[StepRecord] = []
     while not episode.done:
         try:
-            decision = backend.decide(observation, memory, ctx)
+            action = backend.decide(observation, memory, ctx)
         except ConnectorError as exc:
             raise AttemptError(f"backend failed during attempt: {exc}") from exc
-        observation, reward = episode.step(decision.action)
-        records.append(StepRecord(action=decision.action, reward=reward, observation=observation))
+        observation, reward = episode.step(action)
+        records.append(StepRecord(action=action, reward=reward, observation=observation))
         if tau is not None and reward < tau:
             failing_step = len(records) - 1
             snapshot = FailureSnapshot(

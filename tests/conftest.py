@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from forge.agents import ActionDecision, default_memory
+from forge.agents import default_memory
 from forge.cage_lite import ActionKind, BlueAction, Observation
 
 
@@ -62,8 +62,8 @@ class ScriptedRewardEnv:
 class MonitorBackend:
     """Policy stub that always monitors."""
 
-    def decide(self, observation, memory, ctx=None) -> ActionDecision:
-        return ActionDecision(BlueAction(ActionKind.MONITOR), "stub")
+    def decide(self, observation, memory, ctx=None) -> BlueAction:
+        return BlueAction(ActionKind.MONITOR)
 
 
 @pytest.fixture

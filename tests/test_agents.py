@@ -4,6 +4,8 @@ import itertools
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import blank_observation, flags_for
 from forge import cage_lite as env
@@ -21,7 +23,6 @@ from forge.agents import (
     parse_action,
     parse_rule_clause,
     serialize_observation,
-    severity_of_flags,
 )
 from forge.cage_lite import ActionKind, BlueAction, CompromiseLevel
 from forge.llm_connector import ChatMessage, ChatRequest, MockConnector
@@ -72,19 +73,30 @@ class TestRoleConfigs:
         assert config[Role.EXEMPLIFIER].max_output_tokens == 20_000
 
 
+HOST_FLAGS = st.tuples(*[st.booleans()] * 13)
+OBSERVATIONS = st.builds(
+    env.Observation,
+    anomalous_process=HOST_FLAGS,
+    suspicious_connection=HOST_FLAGS,
+    new_file=HOST_FLAGS,
+    step_index=st.integers(0, 29),
+    analysed_host=st.none() | st.integers(0, 12),
+    analysed_level=st.none() | st.sampled_from(CompromiseLevel),
+)
+
+
 class TestScriptedDecide:
     def test_no_flags_empty_memory_is_monitor(self, memory):
         backend = ScriptedBackend()
         decision = backend.decide(blank_observation(), memory)
-        assert decision.action == BlueAction(ActionKind.MONITOR)
+        assert decision == BlueAction(ActionKind.MONITOR)
 
     def test_clause_match_restores_host(self, memory):
         memory.append(clause_rule(3))
         backend = ScriptedBackend()
         observation = blank_observation(anomalous_process=flags_for([3]))
         decision = backend.decide(observation, memory)
-        assert decision.action == BlueAction(ActionKind.RESTORE, 3)
-        assert "rule-3-Restore" in decision.rationale
+        assert decision == BlueAction(ActionKind.RESTORE, 3)
 
     def test_first_matching_clause_wins(self, memory):
         # Oracle: enumerate both insertion orders and assert first-match.
@@ -95,14 +107,14 @@ class TestScriptedDecide:
             mem.append(clause_rule(first))
             mem.append(clause_rule(second))
             decision = backend.decide(observation, mem)
-            assert decision.action == BlueAction(ActionKind.RESTORE, first)
+            assert decision == BlueAction(ActionKind.RESTORE, first)
 
     def test_representation_filters_clauses(self, memory):
         memory.append(clause_rule(3))
         backend = ScriptedBackend(representation=Representation.EXAMPLES)
         observation = blank_observation(anomalous_process=flags_for([3]))
         decision = backend.decide(observation, memory)
-        assert decision.action != BlueAction(ActionKind.RESTORE, 3)
+        assert decision != BlueAction(ActionKind.RESTORE, 3)
 
     def test_confirmed_compromise_restored_without_clause(self, memory):
         backend = ScriptedBackend()
@@ -112,13 +124,13 @@ class TestScriptedDecide:
             analysed_level=CompromiseLevel.USER_ACCESS,
         )
         decision = backend.decide(observation, memory)
-        assert decision.action == BlueAction(ActionKind.RESTORE, 6)
+        assert decision == BlueAction(ActionKind.RESTORE, 6)
 
     def test_unconfirmed_flags_get_analysed_first(self, memory):
         backend = ScriptedBackend()
         observation = blank_observation(anomalous_process=flags_for([6]))
         decision = backend.decide(observation, memory)
-        assert decision.action == BlueAction(ActionKind.ANALYSE, 6)
+        assert decision == BlueAction(ActionKind.ANALYSE, 6)
 
     def test_decide_is_pure(self, memory):
         memory.append(clause_rule(6))
@@ -133,92 +145,17 @@ class TestScriptedDecide:
         state, observation = env.reset(17)
         while not env.is_terminal(state):
             decision = backend.decide(observation, memory)
-            state, observation, _ = env.step(state, decision.action)
+            state, observation, _ = env.step(state, decision)
 
-
-class TestScriptedAnalyse:
-    def test_no_flags_is_none(self, memory):
-        analysis = ScriptedBackend().analyse(4, blank_observation(), memory)
-        assert analysis.severity == "none"
-        assert analysis.recommended_focus == "monitoring"
-
-    def test_severity_table(self, memory):
-        # Fixed lookup: score = 2*anomalous + suspicious + new_file.
-        cases = [
-            ((False, False, False), "none"),
-            ((False, True, False), "low"),
-            ((False, False, True), "low"),
-            ((True, False, False), "medium"),
-            ((False, True, True), "medium"),
-            ((True, True, False), "high"),
-            ((True, False, True), "high"),
-            ((True, True, True), "high"),
-        ]
-        for (ap, sc, nf), expected in cases:
-            assert severity_of_flags(ap, sc, nf) == expected
-            observation = blank_observation(
-                anomalous_process=flags_for([5] if ap else []),
-                suspicious_connection=flags_for([5] if sc else []),
-                new_file=flags_for([5] if nf else []),
-            )
-            assert ScriptedBackend().analyse(5, observation, memory).severity == expected
-
-    def test_high_severity_recommends_containment(self, memory):
-        observation = blank_observation(
-            anomalous_process=flags_for([7]), suspicious_connection=flags_for([7])
-        )
-        analysis = ScriptedBackend().analyse(7, observation, memory)
-        assert analysis.severity == "high"
-        assert analysis.recommended_focus == "containment"
-
-    def test_summary_cites_matching_rule_id(self, memory):
-        memory.append(clause_rule(7))  # planner role: not cited by the analyst
-        memory.append(
-            MemoryArtifact(
-                kind=ArtifactKind.RULE,
-                role=Role.ANALYST,
-                text="When host 7 is compromised, then focus on containment.",
-                clause=Clause(host=7, response="Analyse"),
-                origin=Origin(1, 1, 1),
-                artifact_id="analyst-rule-7",
-            )
-        )
-        observation = blank_observation(anomalous_process=flags_for([7]))
-        analysis = ScriptedBackend().analyse(7, observation, memory)
-        assert "analyst-rule-7" in analysis.summary
-
-
-class TestScriptedRanking:
-    def test_severity_none_is_monitor_singleton(self, memory):
-        ranking = ScriptedBackend().rank_actions({"host": 4, "severity": "none"}, memory)
-        assert len(ranking) == 1
-        assert ranking[0].action == BlueAction(ActionKind.MONITOR)
-        assert ranking[0].confidence == 1.0
-
-    def test_high_severity_enterprise_ranks_remediation_above_monitor(self, memory):
-        backend = ScriptedBackend()
-        for situation in ("unconfirmed", "confirmed"):
-            ranking = backend.rank_actions(
-                {"host": 9, "severity": "high", "situation": situation}, memory
-            )
-            by_kind = {r.action.kind: r.confidence for r in ranking}
-            assert ActionKind.MONITOR in by_kind
-            remediation = [
-                by_kind[k] for k in (ActionKind.RESTORE, ActionKind.DECOY) if k in by_kind
-            ]
-            assert remediation and all(c > by_kind[ActionKind.MONITOR] for c in remediation)
-
-    def test_confidences_non_increasing(self, memory):
-        backend = ScriptedBackend()
-        for severity in ("none", "low", "medium", "high"):
-            for situation in ("unconfirmed", "confirmed"):
-                for host in (0, 6, 9, 12):
-                    ranking = backend.rank_actions(
-                        {"host": host, "severity": severity, "situation": situation}, memory
-                    )
-                    confidences = [r.confidence for r in ranking]
-                    assert confidences == sorted(confidences, reverse=True)
-                    assert ranking
+    @given(observation=OBSERVATIONS, representation=st.sampled_from(Representation))
+    def test_without_firing_clause_equals_reference_heuristic(self, observation, representation):
+        # Clauses on hosts that are neither flagged nor confirmed never fire.
+        memory = default_memory()
+        quiet = set(range(13)) - set(observation.flagged_hosts()) - {observation.confirmed_host()}
+        for host in sorted(quiet):
+            memory.append(clause_rule(host))
+        decision = ScriptedBackend(representation).decide(observation, memory)
+        assert decision == env.heuristic_policy(observation, None)
 
 
 def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
@@ -314,7 +251,7 @@ class TestLLMBackend:
     def test_mock_decide_monitors(self, memory):
         backend = LLMBackend(MockConnector(responder=mock_responder))
         decision = backend.decide(blank_observation(), memory, CallContext())
-        assert decision.action == BlueAction(ActionKind.MONITOR)
+        assert decision == BlueAction(ActionKind.MONITOR)
 
     def test_tool_call_loop_consults_subagents(self, memory):
         def responder(request: ChatRequest) -> str:
@@ -331,8 +268,12 @@ class TestLLMBackend:
         backend = LLMBackend(MockConnector(responder=responder))
         observation = blank_observation(anomalous_process=flags_for([6]))
         decision = backend.decide(observation, memory, CallContext())
-        assert decision.action == BlueAction(ActionKind.RESTORE, 6)
-        assert [c.role for c in decision.subagent_calls] == [Role.ANALYST]
+        assert decision == BlueAction(ActionKind.RESTORE, 6)
+        assert [e.role for e in backend.ledger.entries()] == [
+            Role.PLANNER.value,
+            Role.ANALYST.value,
+            Role.PLANNER.value,
+        ]
 
     def test_subagent_call_budget_is_bounded(self, memory):
         def responder(request: ChatRequest) -> str:
@@ -343,16 +284,15 @@ class TestLLMBackend:
 
         backend = LLMBackend(MockConnector(responder=responder))
         decision = backend.decide(blank_observation(), memory, CallContext())
-        assert len(decision.subagent_calls) == 6
-        assert decision.action == BlueAction(ActionKind.MONITOR)
-        assert "fallback" in decision.rationale
+        analyst_calls = [e for e in backend.ledger.entries() if e.role == Role.ANALYST.value]
+        assert len(analyst_calls) == 6
+        assert decision == BlueAction(ActionKind.MONITOR)
 
     def test_parse_failure_falls_back_to_monitor(self, memory, caplog):
         backend = LLMBackend(MockConnector(responder=lambda r: "gibberish"))
         with caplog.at_level(logging.WARNING):
             decision = backend.decide(blank_observation(), memory, CallContext())
-        assert decision.action == BlueAction(ActionKind.MONITOR)
-        assert decision.rationale == "parse-failure fallback"
+        assert decision == BlueAction(ActionKind.MONITOR)
         assert any("unparseable" in r.message for r in caplog.records)
 
     def test_planner_prompt_never_contains_action_table(self, memory):

@@ -51,6 +51,14 @@ class TestRunVerb:
         (run_dir / "junk").write_text("x")
         assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
 
+    def test_file_as_run_dir_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        run_dir = tmp_path / "session"
+        run_dir.write_text("x")
+        assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert run_dir.read_text() == "x"
+
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(
             ["run", "--config", str(tmp_path / "none.yaml"), "--run-dir", str(tmp_path / "s")]

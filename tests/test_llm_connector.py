@@ -98,6 +98,28 @@ class TestHttp:
         response = connector.complete(request(), META)
         assert response.retries == 1
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {},
+            [],
+            {"choices": []},
+            {"choices": [{}]},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": 7}}]},
+            {**ok_body(), "usage": None},
+            {**ok_body(), "usage": {"prompt_tokens": "many"}},
+        ],
+    )
+    def test_malformed_success_body_is_a_connector_error(self, body):
+        ledger = TokenLedger()
+        connector = http_with_script([(200, body), (200, ok_body())])
+        connector.ledger = ledger
+        with pytest.raises(ConnectorError) as err:
+            connector.complete(request(), META)
+        assert err.value.status == 200
+        assert ledger.entries() == []
+
 
 class TestLedger:
     def test_totals_split_by_phase_and_instance(self):

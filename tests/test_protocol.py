@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import re
 import threading
 import time
@@ -400,6 +401,48 @@ class TestRunProtocol:
             "1f52499dacdc710742d3965db1ff0f1ad801c1fca24e56b0ecd5804121636fd0"
         )
 
+    @pytest.mark.parametrize(
+        "representation, report_sha, manifest_sha",
+        [
+            (
+                Representation.RULES,
+                "ac5b21745994d0bdf61dee562854ddcb015af61a92f6fbebcb68d6dd2a7fec76",
+                "65b55fbc1d751acbad2001faf2a1b74697eebc33b03d75d666ef95076fbef47c",
+            ),
+            (
+                Representation.EXAMPLES,
+                "8a937bf24c297e8dee531bed4e612e9c74ca9c375dbfde10cf974261d76ea3f6",
+                "f71e725ec3a822242965244806aee56987f0c693c61f83a94d87bec4752be69a",
+            ),
+            (
+                Representation.MIXED,
+                "6aa524128a875ec5c6efdbe7eb6ebf713581c2e44429ee6b2618af57e962b02a",
+                "7b3cc6435b88dbb714fec9379a86b1f383520e044ae8995646a84ab176e91802",
+            ),
+        ],
+    )
+    def test_scripted_outputs_pinned_across_versions(
+        self, tmp_path, representation, report_sha, manifest_sha
+    ):
+        """SHA-256 of every file of a scripted run directory.
+
+        A scripted run makes no completions, so ``token_usage.log`` is empty
+        and the whole directory, trajectories included, is deterministic. The
+        values were computed while the scripted fallback still built its
+        sub-agent texts; a change that alters any of these bytes must say why
+        and update them.
+        """
+        config = small_config(backend="scripted", representation=representation)
+        run_protocol(config, run_dir=tmp_path)
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        manifest = "".join(
+            f"{path.relative_to(tmp_path).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+            for path in files
+        )
+        assert len(files) == 56
+        assert hashlib.sha256((tmp_path / "final_report.json").read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == manifest_sha
+
     @pytest.mark.parametrize("name", ["final_report.json", "stage_summary_01.json"])
     def test_interrupted_report_write_leaves_no_truncated_file(self, tmp_path, monkeypatch, name):
         write_text = Path.write_text
@@ -438,6 +481,23 @@ class TestRunProtocol:
         with pytest.raises(RunError):
             run_protocol(small_config(), run_dir=run_dir, connector=ExplodingConnector())
         assert (run_dir / "run_failed.txt").exists()
+
+    def test_malformed_reply_mid_training_errors_one_attempt(self, tmp_path, caplog):
+        calls = 0
+
+        def transport(url, headers, payload):
+            nonlocal calls
+            calls += 1
+            return (200, {}) if calls == 3 else _mock_transport(url, headers, payload)
+
+        connector = HttpConnector("http://provider.invalid", transport=transport)
+        with caplog.at_level(logging.WARNING, logger="forge.reflexion"):
+            run_protocol(small_config(instances=1, stages=1), run_dir=tmp_path, connector=connector)
+        assert (tmp_path / "final_report.json").exists()
+        assert [r.message for r in caplog.records if "errored" in r.message] == [
+            "instance 1 stage 1 attempt 1 errored: backend failed during attempt: "
+            "malformed provider reply: KeyError('choices')"
+        ]
 
     def test_token_reconciliation(self):
         result = run_protocol(small_config())
