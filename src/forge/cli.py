@@ -35,8 +35,11 @@ logger = logging.getLogger(__name__)
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     run_dir = Path(args.run_dir)
-    if run_dir.exists() and not run_dir.is_dir():
-        raise ConfigError(f"run directory path is not a directory: {run_dir}")
+    # The path itself or, when it does not exist yet, its nearest existing
+    # ancestor must be a directory.
+    existing = next((p for p in (run_dir, *run_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"run directory path is not a directory: {existing}")
     if run_dir.exists() and any(run_dir.iterdir()):
         raise ConfigError(f"run directory already exists and is not empty: {run_dir}")
     result = run_protocol(config, run_dir=run_dir, config_source=args.config)

@@ -183,11 +183,6 @@ def approx_tokens(text: str) -> int:
     return len(text.split())
 
 
-def _request_usage(request: ChatRequest, content: str) -> TokenUsage:
-    prompt = sum(approx_tokens(m.content) for m in request.messages)
-    return TokenUsage(prompt_tokens=prompt, completion_tokens=approx_tokens(content))
-
-
 Responder = Callable[[ChatRequest], str]
 
 
@@ -196,15 +191,39 @@ class MockConnector:
 
     Each call asks ``responder`` for the reply text and reports whitespace
     token counts of the prompt and the reply as its usage.
+
+    Within an attempt a caller's memory is frozen, so it sends the same
+    system prompt again and again. The count of the last system prompt of
+    each ``(instance, role)`` is kept and reused while the text is equal;
+    each entry holds its own text, so a lost update between threads can
+    only cost a recount.
     """
 
     def __init__(self, responder: Responder, ledger: TokenLedger | None = None):
         self.responder = responder
         self.ledger = ledger
+        self._system_tokens: dict[tuple[int, str], tuple[str, int]] = {}
+
+    def _prompt_tokens(self, request: ChatRequest, meta: RequestMeta | None) -> int:
+        messages = request.messages
+        if meta is None or not messages or messages[0].role != "system":
+            return sum(approx_tokens(m.content) for m in messages)
+        system = messages[0].content
+        key = (meta.instance, meta.role)
+        cached = self._system_tokens.get(key)
+        if cached is not None and cached[0] == system:
+            count = cached[1]
+        else:
+            count = approx_tokens(system)
+            self._system_tokens[key] = (system, count)
+        return count + sum(approx_tokens(m.content) for m in messages[1:])
 
     def complete(self, request: ChatRequest, meta: RequestMeta | None = None) -> ChatResponse:
         content = self.responder(request)
-        usage = _request_usage(request, content)
+        usage = TokenUsage(
+            prompt_tokens=self._prompt_tokens(request, meta),
+            completion_tokens=approx_tokens(content),
+        )
         if self.ledger is not None and meta is not None:
             self.ledger.record(meta, usage)
         return ChatResponse(content=content, usage=usage, provider_latency=0.0)

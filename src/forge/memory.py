@@ -203,6 +203,11 @@ class InstanceMemory:
     persistent: dict[Role, str]
     dynamic: dict[Role, list[MemoryArtifact]] = field(default_factory=dict)
     capacity: int = DEFAULT_CAPACITY
+    # (role, representation) -> (persistent text, artifacts, rendered text)
+    # of the last render; not part of the memory's value.
+    _rendered: dict[
+        tuple[Role, Representation], tuple[str, tuple[MemoryArtifact, ...], str]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -232,20 +237,37 @@ class InstanceMemory:
         return out
 
     def render(self, role: Role, representation: Representation) -> str:
-        rules = [
-            a for a in self.dynamic[role]
+        """The role's prompt section: persistent text, then admitted rules and examples.
+
+        The text is kept until the role's persistent text or artifacts
+        change. Comparing the artifact tuple is cheap because tuple equality
+        short-circuits on identity, and it catches every way the list can
+        change: ``append``, ``replace_dynamic`` or a direct edit.
+        """
+        persistent = self.persistent[role]
+        artifacts = tuple(self.dynamic[role])
+        cached = self._rendered.get((role, representation))
+        if cached is not None and cached[0] == persistent and cached[1] == artifacts:
+            return cached[2]
+        rule_lines = "\n".join(
+            f"- [{a.artifact_id}] {a.text}"
+            for a in artifacts
             if a.kind is ArtifactKind.RULE and representation.admits(a.kind)
-        ]
-        examples = [
-            a for a in self.dynamic[role]
+        )
+        example_blocks = "\n\n".join(
+            a.text
+            for a in artifacts
             if a.kind is ArtifactKind.EXAMPLE and representation.admits(a.kind)
-        ]
-        rule_lines = "\n".join(f"- [{a.artifact_id}] {a.text}" for a in rules)
-        example_blocks = "\n\n".join(a.text for a in examples)
-        sections = [self.persistent[role].rstrip()]
-        sections.append(f"<reflection_knowledge>\n{rule_lines}\n</reflection_knowledge>")
-        sections.append(f"<TOOL_USE_EXAMPLES>\n{example_blocks}\n</TOOL_USE_EXAMPLES>")
-        return "\n\n".join(s for s in sections if s is not None)
+        )
+        text = "\n\n".join(
+            (
+                persistent.rstrip(),
+                f"<reflection_knowledge>\n{rule_lines}\n</reflection_knowledge>",
+                f"<TOOL_USE_EXAMPLES>\n{example_blocks}\n</TOOL_USE_EXAMPLES>",
+            )
+        )
+        self._rendered[(role, representation)] = (persistent, artifacts, text)
+        return text
 
     def clone(self) -> "InstanceMemory":
         return InstanceMemory(
@@ -326,8 +348,9 @@ def save_workspace(
 ) -> list[Path]:
     """Write the snapshot files of ``memory`` into ``directory``.
 
-    ``texts`` is ``workspace_texts(memory)`` when the caller already has it,
-    e.g. for a memory that several instances share after a broadcast.
+    ``texts`` is ``workspace_texts(memory)`` when the caller already has it.
+    Each file is created anew, never written through: an existing file at
+    the path may be a hard link that another snapshot shares.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -336,6 +359,7 @@ def save_workspace(
     written = []
     for name, text in texts.items():
         path = directory / name
+        path.unlink(missing_ok=True)
         path.write_text(text, encoding="utf-8")
         written.append(path)
     return written

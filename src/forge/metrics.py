@@ -227,17 +227,21 @@ def sweep_tau(
 
     Each threshold is isolated: one failing run is recorded as an error
     entry without aborting the rest of the sweep. Runs are sequential; each
-    counts its own tokens even when they share one ``connector``.
+    counts its own tokens even when they share one ``connector``. Each run
+    directory is named after the exact threshold (``tau_-1.1``,
+    ``tau_-1.05``), so a threshold may appear only once.
     """
     if any(t >= 0 for t in taus):
         raise ConfigError("all sweep thresholds must be negative")
+    if len(set(taus)) != len(taus):
+        raise ConfigError("sweep thresholds must be distinct")
 
     entries = []
     for tau in taus:
         run_config = replace(config, failure_trigger=tau)
         run_dir = None
         if out_dir is not None:
-            run_dir = Path(out_dir) / f"tau_{tau:+.1f}".replace("+", "")
+            run_dir = Path(out_dir) / f"tau_{float(tau)!r}"
         try:
             result = run_protocol(run_config, run_dir=run_dir, connector=connector)
             entries.append(SweepEntry(tau=tau, summary=summarize_report(result.report.to_dict())))
@@ -254,12 +258,12 @@ def render_sweep_table(entries: list[SweepEntry]) -> str:
     ]
     for e in entries:
         if e.summary is None:
-            lines.append(f"{e.tau:8.1f} {'failed: ' + (e.error or 'unknown')}")
+            lines.append(f"{float(e.tau)!r:>8s} {'failed: ' + (e.error or 'unknown')}")
             continue
         s = e.summary
         grad_rate = s.graduated / s.instances if s.instances else 0.0
         lines.append(
-            f"{e.tau:8.1f} {s.mean_return:10.2f} {s.sd_return:8.2f} "
+            f"{float(e.tau)!r:>8s} {s.mean_return:10.2f} {s.sd_return:8.2f} "
             f"{grad_rate:10.0%} {s.aborted_attempts:7d} {s.artifacts_created:9d}"
         )
     return "\n".join(lines)

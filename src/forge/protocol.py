@@ -513,6 +513,8 @@ def _run_stages(
     checkpoint_history: dict[int, list[float | None]] = {
         p.instance: [] for p in population
     }
+    # Memory hash -> the snapshot files first written for it in this run.
+    snapshots: dict[str, list[Path]] = {}
 
     with ThreadPoolExecutor(max_workers=_stage_workers(config, backend)) as executor:
         for stage in range(1, config.stages + 1):
@@ -572,28 +574,31 @@ def _run_stages(
                 artifacts_created=sum(s.artifacts_added for s in summaries),
             )
             stage_reports.append(report)
+            logger.info(
+                "stage %d/%d: %d active, champion %s, new graduates %s, %d aborted attempts",
+                stage,
+                config.stages,
+                len(active),
+                "none" if champion is None else champion,
+                sorted(new_graduates) or "none",
+                report.aborted_attempts,
+            )
 
             if run_path is not None:
                 _write_atomic(
                     run_path / f"stage_summary_{stage:02d}.json",
                     json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
                 )
-                # Equal content hashes mean equal memories, hence equal files:
-                # after a broadcast every active instance shares the
-                # champion's, so each distinct memory is dumped once.
-                texts: dict[str, dict[str, str]] = {}
                 for p in population:
-                    digest = memory_hashes[p.instance]
-                    if digest not in texts:
-                        texts[digest] = workspace_texts(p.memory)
-                    save_workspace(
+                    _save_snapshot(
                         p.memory,
+                        memory_hashes[p.instance],
                         run_path
                         / "workspaces"
                         / f"instance_{p.instance:02d}"
                         / f"stage_{stage:02d}"
                         / "memory",
-                        texts[digest],
+                        snapshots,
                     )
 
     eval_returns = evaluate({p.instance: p.memory for p in population}, config, backend)
@@ -617,6 +622,32 @@ def _run_stages(
     return RunResult(
         report=report, population=population, events=events.events(), ledger=ledger
     )
+
+
+def _save_snapshot(
+    memory: InstanceMemory, digest: str, directory: Path, snapshots: dict[str, list[Path]]
+) -> None:
+    """Put the snapshot files of ``memory``, whose hash is ``digest``, into ``directory``.
+
+    Equal content hashes mean equal memories, hence equal files. After a
+    broadcast every active instance shares the champion's memory, and a
+    graduate's never changes, so the first directory of a hash in a run gets
+    written files and every later one hard links to them. Where the file
+    system cannot link, the file is copied. A path is unlinked before it is
+    linked or copied, so no write goes through an inode another path shares.
+    """
+    sources = snapshots.get(digest)
+    if sources is None:
+        snapshots[digest] = save_workspace(memory, directory, workspace_texts(memory))
+        return
+    directory.mkdir(parents=True, exist_ok=True)
+    for source in sources:
+        target = directory / source.name
+        target.unlink(missing_ok=True)
+        try:
+            os.link(source, target)
+        except OSError:
+            shutil.copyfile(source, target)
 
 
 def _usage_dict(

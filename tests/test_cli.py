@@ -59,6 +59,15 @@ class TestRunVerb:
         assert "not a directory" in capsys.readouterr().err
         assert run_dir.read_text() == "x"
 
+    def test_run_dir_under_a_file_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        parent = tmp_path / "afile"
+        parent.write_text("x")
+        for run_dir in (parent / "sub", parent / "sub" / "deeper"):
+            assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+            assert "not a directory" in capsys.readouterr().err
+        assert parent.read_text() == "x"
+
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(
             ["run", "--config", str(tmp_path / "none.yaml"), "--run-dir", str(tmp_path / "s")]
@@ -134,6 +143,14 @@ class TestSweepVerb:
         out = tmp_path / "sweep"
         code = main(["sweep", "--config", str(config), "--tau", "-1.1", "0.5", "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    def test_repeated_tau_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--tau", "-1.1", "-1.10", "--out", str(out)])
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
         assert not out.exists()
 
 

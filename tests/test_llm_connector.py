@@ -44,6 +44,63 @@ class TestMock:
         connector.complete(request("one two three"), META)
         assert ledger.totals() == TokenUsage(3, 2)
 
+    def test_usage_equals_uncounted_sums_as_system_prompts_alternate(self):
+        ledger = TokenLedger()
+        connector = MockConnector(responder=lambda r: f"reply {len(r.messages)}", ledger=ledger)
+        # Equal texts of different lengths in tokens, rebuilt on each call so
+        # that equal prompts are distinct objects.
+        systems = ["You are the Planner. a b c", "You are the Planner.  abc d e f"]
+        metas = [
+            META,
+            RequestMeta(instance=2, role="planner", phase="adaptation"),
+            RequestMeta(instance=1, role="analyst", phase="evaluation"),
+            None,
+        ]
+        expected = TokenUsage()
+        for k in range(24):
+            system = "".join(systems[(k // 3) % 2])
+            messages = (ChatMessage("system", system), ChatMessage("user", "obs " * k))
+            if k % 5 == 4:  # a conversation that does not open with a system prompt
+                messages = messages[::-1]
+            meta = metas[k % len(metas)]
+            response = connector.complete(ChatRequest(model="m", messages=messages), meta)
+            usage = TokenUsage(
+                sum(approx_tokens(m.content) for m in messages), approx_tokens(response.content)
+            )
+            assert response.usage == usage
+            if meta is not None:
+                expected += usage
+        assert ledger.totals() == expected
+
+    def test_kept_counts_survive_racing_threads(self):
+        connector = MockConnector(responder=lambda r: "ok")
+        systems = ["a b c", "a b c d e"]
+        wrong = []
+
+        def call(worker: int) -> None:
+            # Two workers share each (instance, role) and send it alternating
+            # prompts, so their updates of its entry race.
+            meta = RequestMeta(instance=worker % 4, role="planner", phase="adaptation")
+            for i in range(300):
+                system = systems[(i + worker) % 2]
+                messages = (ChatMessage("system", system), ChatMessage("user", "x"))
+                usage = connector.complete(ChatRequest(model="m", messages=messages), meta).usage
+                if usage.prompt_tokens != approx_tokens(system) + 1:
+                    wrong.append((worker, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
 
 def http_with_script(script):
     calls = {"i": 0}

@@ -63,6 +63,35 @@ def example(host: int = 6, role: Role = Role.PLANNER) -> MemoryArtifact:
     )
 
 
+def reference_render(memory: InstanceMemory, role: Role, representation: Representation) -> str:
+    """``InstanceMemory.render`` computed afresh from the memory's current state."""
+    admitted = [a for a in memory.dynamic[role] if representation.admits(a.kind)]
+    rule_lines = "\n".join(
+        f"- [{a.artifact_id}] {a.text}" for a in admitted if a.kind is ArtifactKind.RULE
+    )
+    example_blocks = "\n\n".join(a.text for a in admitted if a.kind is ArtifactKind.EXAMPLE)
+    return (
+        f"{memory.persistent[role].rstrip()}\n\n"
+        f"<reflection_knowledge>\n{rule_lines}\n</reflection_knowledge>\n\n"
+        f"<TOOL_USE_EXAMPLES>\n{example_blocks}\n</TOOL_USE_EXAMPLES>"
+    )
+
+
+ACTING = st.sampled_from(mem.ACTING_ROLES)
+
+# One step of a memory's life between two renders.
+RENDER_OPS = st.one_of(
+    st.tuples(st.just("append"), ACTING, st.booleans(), st.integers(0, 12)),
+    st.tuples(st.just("replace_dynamic"), st.integers(0, 2)),
+    st.tuples(st.just("load_workspace"), st.integers(0, 2)),
+    st.tuples(
+        st.just("edit"), ACTING, st.sampled_from(["setitem", "pop", "reverse", "clear"]),
+        st.integers(0, 12),
+    ),
+    st.tuples(st.just("persistent"), ACTING, st.sampled_from(["", "Defend.", "Defend. \n"])),
+)
+
+
 class TestArtifactValidation:
     def test_empty_text_rejected(self):
         with pytest.raises(ArtifactValidationError):
@@ -187,6 +216,59 @@ class TestRender:
         text = memory.render(Role.PLANNER, Representation.MIXED)
         assert mem.ACTION_TABLE_MARKER not in text
         assert mem.ACTION_TABLE_MARKER in ACTION_REFERENCE_TABLE
+
+    def test_kept_render_is_not_part_of_the_value(self, memory):
+        memory.append(rule())
+        fresh = memory.clone()
+        before = (repr(memory), memory.to_dict(), memory.content_hash())
+        memory.render(Role.PLANNER, Representation.MIXED)
+        assert memory == fresh
+        assert (repr(memory), memory.to_dict(), memory.content_hash()) == before
+        assert memory.clone()._rendered == {}
+
+    @given(st.lists(RENDER_OPS, max_size=14))
+    @settings(max_examples=60, deadline=None)
+    def test_kept_render_equals_a_fresh_render(self, tmp_path_factory, ops):
+        memory = default_memory(capacity=3)
+
+        def source(n: int) -> InstanceMemory:
+            other = default_memory(capacity=3, persistent=dict(memory.persistent))
+            for host in range(n + 1):
+                other.append(rule(host, stage=n))
+                other.append(example(host + n, role=Role.ANALYST))
+            return other
+
+        for op, *args in ops:
+            if op == "append":
+                role, is_rule, host = args
+                memory.append(rule(host, role=role) if is_rule else example(host, role=role))
+            elif op == "replace_dynamic":
+                mem.replace_dynamic(memory, source(args[0]))
+            elif op == "load_workspace":
+                directory = tmp_path_factory.mktemp("workspace")
+                mem.save_workspace(source(args[0]), directory)
+                loaded = mem.load_workspace(directory, memory.persistent, memory.capacity)
+                for role in mem.ACTING_ROLES:
+                    memory.dynamic[role] = loaded.dynamic[role]
+            elif op == "edit":
+                role, edit, host = args
+                bucket = memory.dynamic[role]
+                if edit == "setitem" and bucket:
+                    bucket[host % len(bucket)] = rule(host, role=role, attempt=2)
+                elif edit == "pop" and bucket:
+                    bucket.pop(host % len(bucket))
+                elif edit == "reverse":
+                    bucket.reverse()
+                elif edit == "clear":
+                    bucket.clear()
+            else:
+                role, text = args
+                memory.persistent[role] = text
+            for role in mem.ACTING_ROLES:
+                for representation in Representation:
+                    assert memory.render(role, representation) == reference_render(
+                        memory, role, representation
+                    )
 
 
 class TestPersistence:

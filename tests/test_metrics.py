@@ -22,7 +22,7 @@ from forge.metrics import (
     trigger_analysis,
     write_penalty_log,
 )
-from forge.protocol import ProtocolConfig, run_protocol
+from forge.protocol import ConfigError, ProtocolConfig, run_protocol
 
 
 class TestTailRisk:
@@ -296,6 +296,26 @@ class TestSweep:
     def test_positive_threshold_rejected(self):
         with pytest.raises(ValueError):
             sweep_tau(ProtocolConfig(), [1.0])
+
+    def test_close_thresholds_get_their_own_directories(self, tmp_path):
+        config = ProtocolConfig(
+            instances=1, stages=1, attempts_per_stage=1, backend="scripted", base_seed=9
+        )
+        taus = [-1.05, -1.1, -0.95, -2.0]
+        entries = sweep_tau(config, taus, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["tau_-1.05", "tau_-1.1", "tau_-0.95", "tau_-2.0"]
+        )
+        rows = render_sweep_table(entries).splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["-1.05", "-1.1", "-0.95", "-2.0"]
+        for tau in taus:
+            report = json.loads((tmp_path / f"tau_{tau!r}" / "final_report.json").read_text())
+            assert report["config"]["failure_trigger"] == tau
+
+    def test_repeated_threshold_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="distinct"):
+            sweep_tau(ProtocolConfig(), [-1.1, -2.0, -1.1], out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
     def test_render_table(self, tmp_path):
         config = ProtocolConfig(

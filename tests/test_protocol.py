@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
 import re
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from forge.llm_connector import (
     approx_tokens,
 )
 from forge.metrics import sweep_tau
-from forge.memory import Representation, Role
+from forge.memory import InstanceMemory, Representation, Role
 from forge.protocol import (
     CHECKPOINT_FAILED,
     CheckpointResult,
@@ -516,6 +518,28 @@ class TestRunProtocol:
             "evaluation": {"prompt": 0, "completion": 0},
         }
 
+    def test_one_progress_line_per_stage(self, caplog):
+        config = small_config(
+            backend="scripted", stages=4, base_seed=78, graduation_threshold=-20.0
+        )
+        with caplog.at_level(logging.INFO, logger="forge.protocol"):
+            result = run_protocol(config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "forge.protocol"]
+        expected = []
+        graduated: set[int] = set()
+        for r in result.report.stage_reports:
+            new = sorted(set(r.graduated_after) - graduated)
+            expected.append(
+                f"stage {r.stage}/{config.stages}: {config.instances - len(graduated)} active, "
+                f"champion {'none' if r.champion is None else r.champion}, "
+                f"new graduates {new or 'none'}, {r.aborted_attempts} aborted attempts"
+            )
+            graduated |= set(new)
+        assert lines == expected
+        # The run covers a champion, no champion and stages with new graduates.
+        assert {r.champion is None for r in result.report.stage_reports} == {True, False}
+        assert graduated == {1, 2, 3}
+
     def test_persistent_sections_survive_a_whole_session(self):
         from forge.agents import default_persistent
 
@@ -532,7 +556,7 @@ class TestRunDirectoryWrites:
         # Dumps made by the memory module and the stage directory of each save,
         # in call order; a save's dumps come before its own marker.
         events: list[str] = []
-        saved: list[tuple] = []
+        saved: dict[str, InstanceMemory] = {}
         dump_yaml = memory_module.dump_yaml
         save_workspace = protocol.save_workspace
 
@@ -542,14 +566,17 @@ class TestRunDirectoryWrites:
 
         def recording_save(memory, directory, *args):
             paths = save_workspace(memory, directory, *args)
-            saved.append((memory.clone(), Path(directory)))
+            digest = memory.content_hash()
+            assert digest not in saved, "a memory was written twice in one run"
+            saved[digest] = memory.clone()
             events.append(Path(directory).parent.name)
             return paths
 
         monkeypatch.setattr(memory_module, "dump_yaml", counting_dump)
         monkeypatch.setattr(protocol, "save_workspace", recording_save)
         config = small_config(stages=3, representation=Representation.MIXED)
-        result = run_protocol(config, run_dir=tmp_path / "run")
+        run_dir = tmp_path / "run"
+        result = run_protocol(config, run_dir=run_dir)
 
         dumps_by_stage: dict[str, int] = {}
         pending = 0
@@ -560,19 +587,87 @@ class TestRunDirectoryWrites:
                 dumps_by_stage[event] = dumps_by_stage.get(event, 0) + pending
                 pending = 0
         assert pending == 0
-        distinct = {
-            f"stage_{r.stage:02d}": len(set(r.memory_hashes.values()))
-            for r in result.report.stage_reports
-        }
-        assert min(distinct.values()) < config.instances, "expected a broadcast to share memories"
-        assert dumps_by_stage == {stage: 6 * n for stage, n in distinct.items()}
+        # Six files per memory hash that no earlier save of the run wrote.
+        written: set[str] = set()
+        expected: dict[str, int] = {}
+        distinct = [len(set(r.memory_hashes.values())) for r in result.report.stage_reports]
+        assert min(distinct) < config.instances, "expected a broadcast to share memories"
+        for r in result.report.stage_reports:
+            new = set(r.memory_hashes.values()) - written
+            written |= new
+            if new:
+                expected[f"stage_{r.stage:02d}"] = 6 * len(new)
+        assert dumps_by_stage == expected
+        assert set(saved) == written
 
-        assert len(saved) == config.instances * config.stages
-        for k, (memory, directory) in enumerate(saved):
-            fresh = memory_module.save_workspace(memory, tmp_path / "fresh" / str(k))
-            assert sorted(p.name for p in directory.iterdir()) == sorted(p.name for p in fresh)
-            for path in fresh:
-                assert (directory / path.name).read_bytes() == path.read_bytes()
+        # Every snapshot directory, written or linked, holds its memory's files.
+        checked = set()
+        for r in result.report.stage_reports:
+            for instance, digest in r.memory_hashes.items():
+                directory = (
+                    run_dir / "workspaces" / f"instance_{instance:02d}"
+                    / f"stage_{r.stage:02d}" / "memory"
+                )
+                fresh = memory_module.save_workspace(
+                    saved[digest], tmp_path / "fresh" / f"{instance}_{r.stage}"
+                )
+                assert sorted(p.name for p in directory.iterdir()) == sorted(p.name for p in fresh)
+                for path in fresh:
+                    assert (directory / path.name).read_bytes() == path.read_bytes()
+                checked.add(directory)
+        assert set(run_dir.glob("workspaces/instance_*/stage_*/memory")) == checked
+        assert len(checked) == config.instances * config.stages
+
+    @staticmethod
+    def files(run_dir: Path) -> dict[Path, bytes]:
+        """Bytes of every file under ``run_dir`` but the timestamped token log."""
+        return {
+            p.relative_to(run_dir): p.read_bytes()
+            for p in run_dir.rglob("*")
+            if p.is_file() and p.name != "token_usage.log"
+        }
+
+    def test_second_run_into_a_directory_writes_no_shared_file(self, tmp_path):
+        run_dir = tmp_path / "run"
+        first = small_config(stages=3)
+        run_protocol(first, run_dir=run_dir)
+        before = self.files(run_dir)
+        inodes = {rel: (run_dir / rel).stat().st_ino for rel in before}
+
+        second = replace(first, instances=2, base_seed=first.base_seed + 1)
+        run_protocol(second, run_dir=run_dir)
+        run_protocol(second, run_dir=tmp_path / "fresh")
+        after = self.files(run_dir)
+        fresh = self.files(tmp_path / "fresh")
+
+        only_first = before.keys() - fresh.keys()
+        # The case this guards: a path the second run rewrites with new bytes
+        # shared its inode with a path that only the first run wrote.
+        assert any(
+            before[rel] != fresh[rel] and inodes[rel] == inodes[other]
+            for rel in before.keys() & fresh.keys()
+            for other in only_first
+        )
+        assert after.keys() == before.keys() | fresh.keys()
+        for rel, data in fresh.items():
+            assert after[rel] == data, rel
+        for rel in only_first:
+            assert after[rel] == before[rel], rel
+
+    def test_snapshots_are_copied_where_links_fail(self, tmp_path, monkeypatch):
+        config = small_config(backend="scripted", stages=3)
+        run_protocol(config, run_dir=tmp_path / "linked")
+        memory_files = list((tmp_path / "linked").glob("workspaces/*/*/memory/*.yaml"))
+        assert max(p.stat().st_nlink for p in memory_files) > 1
+
+        def no_link(src, dst, *args, **kwargs):
+            raise OSError(errno.EPERM, "hard links not supported", str(dst))
+
+        monkeypatch.setattr(protocol.os, "link", no_link)
+        copied = tmp_path / "copied"
+        run_protocol(config, run_dir=copied)
+        assert self.files(copied) == self.files(tmp_path / "linked")
+        assert all(p.stat().st_nlink == 1 for p in copied.rglob("*") if p.is_file())
 
     def test_failure_text_serialized_once_per_aborted_attempt(self, tmp_path, monkeypatch):
         calls = []
