@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Verbs: ``run`` (config -> session directory), ``sweep`` (config + threshold
-list), ``analyze-trigger`` (penalty log + threshold), ``aggregate`` (session
-directories), ``baselines`` (simulator calibration episodes).
+list), ``study`` (config + base seeds: broadcast vs isolated vs zero-shot),
+``analyze-trigger`` (thresholds over a penalty log, by default the reference
+census), ``aggregate`` (session directories), ``baselines`` (simulator
+calibration episodes).
 
 Exit codes: 0 success, 1 run failure, 2 configuration error.
 """
@@ -17,9 +19,11 @@ from pathlib import Path
 
 from . import calibration as cal
 from .cage_lite import baseline_returns
+from .experiments import render_study_table, run_directional_study
 from .metrics import (
     SD_CONVENTION,
     aggregate,
+    make_reference_penalty_log,
     read_penalty_log,
     render_aggregate_table,
     render_sweep_table,
@@ -66,17 +70,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_study(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    config = load_config(args.config)
+    seeds = list(range(args.first_seed, args.first_seed + args.seeds))
+    print(render_study_table(run_directional_study(seeds, config)))
+    return 0
+
+
 def _cmd_analyze_trigger(args: argparse.Namespace) -> int:
-    try:
-        entries = read_penalty_log(args.log)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read penalty log: {exc}") from exc
-    analysis = trigger_analysis(entries, args.tau)
-    print(f"threshold tau={analysis.threshold}")
-    print(f"true triggers captured: {analysis.true_triggers_captured} of {analysis.true_trigger_total}")
-    print(f"false positives: {analysis.false_positives}")
-    print(f"precision: {analysis.precision:.3f}")
-    print(f"recall: {analysis.recall:.3f}")
+    for tau in args.tau:
+        if not tau < 0:
+            raise ConfigError(f"--tau must be negative, got {tau}")
+    if args.log is None:
+        entries = make_reference_penalty_log()
+    else:
+        try:
+            entries = read_penalty_log(args.log)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read penalty log: {exc}") from exc
+    for tau in args.tau:
+        analysis = trigger_analysis(entries, tau)
+        print(f"threshold tau={analysis.threshold}")
+        print(
+            f"true triggers captured: {analysis.true_triggers_captured}"
+            f" of {analysis.true_trigger_total}"
+        )
+        print(f"false positives: {analysis.false_positives}")
+        print(f"precision: {analysis.precision:.3f}")
+        print(f"recall: {analysis.recall:.3f}")
     return 0
 
 
@@ -139,9 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out", default=None, help="directory for per-threshold sessions")
     sweep_p.set_defaults(func=_cmd_sweep)
 
-    trig_p = sub.add_parser("analyze-trigger", help="precision/recall of a trigger threshold")
-    trig_p.add_argument("--log", required=True, help="penalty log file")
-    trig_p.add_argument("--tau", required=True, type=float)
+    study_p = sub.add_parser(
+        "study", help="broadcast vs isolated training vs zero-shot on paired base seeds"
+    )
+    study_p.add_argument("--config", required=True)
+    study_p.add_argument("--seeds", type=int, default=20, help="number of base seeds")
+    study_p.add_argument("--first-seed", type=int, default=1)
+    study_p.set_defaults(func=_cmd_study)
+
+    trig_p = sub.add_parser("analyze-trigger", help="precision/recall of trigger thresholds")
+    trig_p.add_argument(
+        "--log", default=None, help="penalty log file (default: the reference penalty census)"
+    )
+    trig_p.add_argument("--tau", nargs="+", required=True, type=float)
     trig_p.set_defaults(func=_cmd_analyze_trigger)
 
     agg_p = sub.add_parser("aggregate", help="pool several session directories")

@@ -1,4 +1,9 @@
-"""Multi-seed experiments comparing training conditions on the scripted backend."""
+"""Multi-seed experiments comparing training conditions on paired seeds.
+
+``forge study`` runs :func:`run_directional_study` on the backend, sizes and
+representation of a config file; each seed's runs override only
+``base_seed`` and the transfer strategy.
+"""
 
 from __future__ import annotations
 
@@ -52,16 +57,13 @@ def _pooled_mean(eval_returns: dict[int, list[float]]) -> float:
     return statistics.fmean(r for rs in eval_returns.values() for r in rs)
 
 
-def run_directional_study(
-    base_seeds: list[int], config: ProtocolConfig | None = None
-) -> DirectionalStudyResult:
+def run_directional_study(base_seeds: list[int], config: ProtocolConfig) -> DirectionalStudyResult:
     """For each base seed, compare broadcast training, isolated training and
     the untrained agent under identical evaluation seeds."""
-    template = config or ProtocolConfig(backend="scripted")
     comparisons = []
     for seed in base_seeds:
-        forge_config = replace(template, base_seed=seed, condition=Condition.FORGE)
-        reflexion_config = replace(template, base_seed=seed, condition=Condition.REFLEXION)
+        forge_config = replace(config, base_seed=seed, condition=Condition.FORGE)
+        reflexion_config = replace(config, base_seed=seed, condition=Condition.REFLEXION)
         forge_mean = _pooled_mean(run_protocol(forge_config).report.eval_returns)
         reflexion_mean = _pooled_mean(run_protocol(reflexion_config).report.eval_returns)
         zero_shot_mean = _pooled_mean(evaluate_zero_shot(forge_config))

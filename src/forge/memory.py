@@ -343,21 +343,16 @@ def workspace_texts(memory: InstanceMemory) -> dict[str, str]:
     return texts
 
 
-def save_workspace(
-    memory: InstanceMemory, directory: str | Path, texts: dict[str, str] | None = None
-) -> list[Path]:
+def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
     """Write the snapshot files of ``memory`` into ``directory``.
 
-    ``texts`` is ``workspace_texts(memory)`` when the caller already has it.
     Each file is created anew, never written through: an existing file at
     the path may be a hard link that another snapshot shares.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if texts is None:
-        texts = workspace_texts(memory)
     written = []
-    for name, text in texts.items():
+    for name, text in workspace_texts(memory).items():
         path = directory / name
         path.unlink(missing_ok=True)
         path.write_text(text, encoding="utf-8")

@@ -105,18 +105,25 @@ def write_penalty_log(entries: list[PenaltyLogEntry], path: str | Path) -> None:
 
 
 def read_penalty_log(path: str | Path) -> list[PenaltyLogEntry]:
+    """Parse ``reward=<negative float> restore=<0|1>`` lines; a bad line raises
+    ``ValueError`` naming its line number."""
     entries = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields = dict(part.split("=", 1) for part in line.split())
         try:
-            entries.append(
-                PenaltyLogEntry(reward=float(fields["reward"]), is_restore=bool(int(fields["restore"])))
+            fields = dict(part.split("=", 1) for part in line.split())
+            entry = PenaltyLogEntry(
+                reward=float(fields["reward"]), is_restore=bool(int(fields["restore"]))
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad penalty log line {line_no}: {line!r}") from exc
+        if not entry.reward < 0:
+            raise ValueError(
+                f"bad penalty log line {line_no}: {line!r}: reward must be negative"
+            )
+        entries.append(entry)
     return entries
 
 
@@ -144,11 +151,6 @@ class SessionSummary:
     artifacts_created: int
     major_failure_rate: float
     catastrophic_failure_rate: float
-
-    def to_dict(self) -> dict:
-        data = self.__dict__.copy()
-        data["eval_returns"] = {str(k): v for k, v in sorted(self.eval_returns.items())}
-        return data
 
 
 def summarize_report(report_data: dict) -> SessionSummary:

@@ -18,8 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import yaml
 
@@ -32,13 +31,7 @@ from .agents import (
     mock_responder,
 )
 from .llm_connector import HttpConnector, MockConnector, TokenLedger
-from .memory import (
-    InstanceMemory,
-    Representation,
-    replace_dynamic,
-    save_workspace,
-    workspace_texts,
-)
+from .memory import InstanceMemory, Representation, replace_dynamic, save_workspace
 from .reflexion import AttemptError, AttemptSummary, reflexion_loop, run_frozen_episode
 from .seeding import derive_seed
 
@@ -83,7 +76,6 @@ class ProtocolConfig:
     model: str = "mock-chat"
     eval_episodes_per_instance: int = 2
     memory_capacity: int = 20
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -92,10 +84,8 @@ class ProtocolConfig:
             "attempts_per_stage",
             "eval_episodes_per_instance",
             "memory_capacity",
-            "max_workers",
         ):
-            value = getattr(self, name)
-            if value is not None and value < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.failure_trigger >= 0:
             raise ConfigError("failure_trigger must be negative")
@@ -113,10 +103,6 @@ _SCHEMA = {_RENAMED.get(f.name, f.name): (f.name, _HINTS[f.name]) for f in field
 
 def _parse_value(key: str, hint, value):
     """Check ``value`` against a field type; ints widen to float, nothing else converts."""
-    if isinstance(hint, UnionType):  # ``T | None``
-        if value is None:
-            return None
-        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
     if issubclass(hint, Enum):
         choices = [member.value for member in hint]
         if value not in choices:
@@ -249,9 +235,6 @@ class FinalReport:
     tokens_by_instance: dict[int, dict[str, int]]
     aborted_attempts: int
     artifacts_created: int
-
-    def pooled_returns(self) -> list[float]:
-        return [r for returns in self.eval_returns.values() for r in returns]
 
     def graduation_distribution(self) -> dict[str, int]:
         stages = max(6, len(self.stage_reports))
@@ -491,10 +474,7 @@ def _stage_workers(config: ProtocolConfig, backend) -> int:
     Threads only pay off while calls wait on the network, i.e. when the
     backend talks through an :class:`HttpConnector`. Offline backends are pure
     CPU, where extra threads just contend for the GIL, so they get one worker.
-    An explicit ``max_workers`` always wins.
     """
-    if config.max_workers is not None:
-        return config.max_workers
     if isinstance(getattr(backend, "connector", None), HttpConnector):
         return min(config.instances, 8)
     return 1
@@ -516,7 +496,7 @@ def _run_stages(
     # Memory hash -> the snapshot files first written for it in this run.
     snapshots: dict[str, list[Path]] = {}
 
-    with ThreadPoolExecutor(max_workers=_stage_workers(config, backend)) as executor:
+    with ThreadPoolExecutor(_stage_workers(config, backend)) as executor:
         for stage in range(1, config.stages + 1):
             active = [p for p in population if p.graduated_at is None]
             futures = {
@@ -638,7 +618,7 @@ def _save_snapshot(
     """
     sources = snapshots.get(digest)
     if sources is None:
-        snapshots[digest] = save_workspace(memory, directory, workspace_texts(memory))
+        snapshots[digest] = save_workspace(memory, directory)
         return
     directory.mkdir(parents=True, exist_ok=True)
     for source in sources:
@@ -676,7 +656,7 @@ def evaluate(
             for episode in range(1, config.eval_episodes_per_instance + 1)
         ]
 
-    with ThreadPoolExecutor(max_workers=_stage_workers(config, backend)) as executor:
+    with ThreadPoolExecutor(_stage_workers(config, backend)) as executor:
         futures = {
             instance: executor.submit(episodes, instance, memory)
             for instance, memory in memories.items()

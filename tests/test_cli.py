@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from forge.cli import main
+from forge import experiments
+from forge.cli import build_parser, main
 from forge.metrics import make_reference_penalty_log, write_penalty_log
+from forge.protocol import Condition
 
 CONFIG = """
 transfer_strategy: best
@@ -17,15 +22,16 @@ base_seed: 31
 """
 
 # (config key, YAML value) pairs the run verb must refuse with exit code 2.
+# The worker count is derived from the backend, so ``max_workers`` is an
+# unknown key, also as the ``max_workers: null`` of older run directories.
 BAD_VALUES = [
-    *(("max_workers", v) for v in ("lots", "2.9", "true", "0")),
     ("graduation_enabled", "'false'"),
     ("memory_capacity", "2.9"),
     ("eval_episodes_per_instance", "true"),
     ("graduation_threshold", "'-15'"),
+    ("max_workers", "3"),
+    ("max_workers", "null"),
 ]
-# The max_workers cases keep the bare-value ids they were first listed under.
-BAD_VALUE_IDS = [v if k == "max_workers" else f"{k}={v}" for k, v in BAD_VALUES]
 
 
 def write_config(tmp_path, text=CONFIG, name="config.yaml"):
@@ -79,11 +85,12 @@ class TestRunVerb:
         code = main(["run", "--config", str(config), "--run-dir", str(tmp_path / "s")])
         assert code == 2
 
-    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=BAD_VALUE_IDS)
-    def test_bad_max_workers_is_config_error(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])
+    def test_bad_max_workers_is_config_error(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, CONFIG + f"{key}: {value}\n")
         run_dir = tmp_path / "s"
         assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+        assert key in capsys.readouterr().err
         assert not run_dir.exists()
 
     def test_directory_as_config_is_config_error(self, tmp_path):
@@ -98,9 +105,45 @@ class TestRunVerb:
         assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
         assert not run_dir.exists()
 
-    def test_null_max_workers_runs(self, tmp_path):
-        config = write_config(tmp_path, CONFIG + "max_workers: null\n")
-        assert main(["run", "--config", str(config), "--run-dir", str(tmp_path / "s")]) == 0
+
+class TestStudyVerb:
+    def test_study_prints_its_table(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, "instances: 2\nstages: 1\nattempts_per_stage: 1\nbackend: scripted\n"
+        )
+        assert main(["study", "--config", str(config), "--seeds", "2", "--first-seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["seed", "broadcast", "isolated", "zero-shot", "ordered"]
+        assert [line.split()[0] for line in lines[1:3]] == ["3", "4"]
+        assert lines[3].startswith("ordering holds in ")
+        assert len(lines) == 4
+
+    def test_run_sizes_come_from_the_config(self, tmp_path, monkeypatch):
+        configs = []
+        run_protocol = experiments.run_protocol
+
+        def recording_run(config, *args, **kwargs):
+            configs.append(config)
+            return run_protocol(config, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_protocol", recording_run)
+        config = write_config(
+            tmp_path,
+            "instances: 3\nstages: 1\nattempts_per_stage: 1\ntransfer_strategy: individual\n",
+        )
+        assert main(["study", "--config", str(config), "--seeds", "1", "--first-seed", "5"]) == 0
+        assert [(c.instances, c.stages, c.attempts_per_stage) for c in configs] == [(3, 1, 1)] * 2
+        # The study sets each run's base seed and transfer strategy itself.
+        assert [(c.base_seed, c.condition) for c in configs] == [
+            (5, Condition.FORGE),
+            (5, Condition.REFLEXION),
+        ]
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_non_positive_seeds_is_config_error(self, tmp_path, capsys, seeds):
+        config = write_config(tmp_path)
+        assert main(["study", "--config", str(config), "--seeds", seeds]) == 2
+        assert "--seeds" in capsys.readouterr().err
 
 
 class TestAnalyzeTrigger:
@@ -113,8 +156,41 @@ class TestAnalyzeTrigger:
         assert "recall: 0.740" in out
         assert "7346 of 9926" in out
 
+    def test_reference_census_without_log(self, capsys):
+        assert main(["analyze-trigger", "--tau", "-1.1"]) == 0
+        out = capsys.readouterr().out
+        assert "precision: 1.000" in out
+        assert "recall: 0.740" in out
+        assert "7346 of 9926" in out
+
+    def test_one_block_per_tau_in_order(self, capsys):
+        assert main(["analyze-trigger", "--tau", "-2.0", "-0.5", "-1.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 * 5
+        assert lines[0::5] == ["threshold tau=-2.0", "threshold tau=-0.5", "threshold tau=-1.1"]
+        assert lines[1::5] == [
+            "true triggers captured: 4359 of 9926",
+            "true triggers captured: 9926 of 9926",
+            "true triggers captured: 7346 of 9926",
+        ]
+        assert lines[2] == "false positives: 0" and lines[7] == "false positives: 3520"
+
     def test_missing_log_is_config_error(self, tmp_path):
         assert main(["analyze-trigger", "--log", str(tmp_path / "no.log"), "--tau", "-1.1"]) == 2
+
+    @pytest.mark.parametrize("tau", ["0.5", "0", "nan"])
+    def test_non_negative_tau_is_config_error(self, capsys, tau):
+        assert main(["analyze-trigger", "--tau", "-1.1", tau]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--tau" in err
+
+    @pytest.mark.parametrize("bad_line", ["reward=0.5 restore=0", "reward=0 restore=1", "garbage"])
+    def test_bad_log_line_is_config_error_naming_its_line(self, tmp_path, capsys, bad_line):
+        log_path = tmp_path / "penalties.log"
+        log_path.write_text(f"# census\nreward=-1.0 restore=1\n{bad_line}\n", encoding="utf-8")
+        assert main(["analyze-trigger", "--log", str(log_path), "--tau", "-1.1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "line 3" in err
 
 
 class TestSweepVerb:
@@ -190,3 +266,13 @@ class TestBaselinesVerb:
     def test_non_positive_episodes_is_config_error(self, episodes, capsys):
         assert main(["baselines", "--episodes", episodes]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_readme_command_block_lists_every_verb():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    verbs = set(re.findall(r"^forge ([\w-]+)", block, flags=re.MULTILINE))
+    parser = build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert verbs == set(subparsers.choices)

@@ -50,7 +50,6 @@ from forge.protocol import (
 # (config key, YAML value) pairs that must raise ConfigError: ints reject
 # bools, floats and strings; bools and enums accept only their own values.
 BAD_VALUES = [
-    *(("max_workers", v) for v in ("'four'", "2.9", "2.0", "true", "0", "-3", "[2]")),
     ("instances", "2.9"),
     ("instances", "2.0"),
     ("stages", "true"),
@@ -65,9 +64,6 @@ BAD_VALUES = [
     ("instances", "null"),
     ("1", "2"),  # YAML reads the key as an int
 ]
-
-# The max_workers cases keep the bare-value ids they were first listed under.
-BAD_VALUE_IDS = [v if k == "max_workers" else f"{k}={v}" for k, v in BAD_VALUES]
 
 
 def ckpt(instance: int, value: float, stage: int = 1) -> CheckpointResult:
@@ -92,7 +88,7 @@ class TestConfig:
             {"failure_trigger": 0.5},
             {"eval_episodes_per_instance": 0},
             {"backend": "quantum"},
-            {"max_workers": 0},
+            {"memory_capacity": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -109,6 +105,9 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"stagess": 3})
+        # The worker count is derived from the backend, never configured.
+        with pytest.raises(ConfigError, match="unknown config keys: max_workers"):
+            config_from_dict({"max_workers": 3})
 
     def test_round_trip(self):
         config = ProtocolConfig(
@@ -136,7 +135,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
 
-    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=BAD_VALUE_IDS)
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])
     def test_bad_max_workers_rejected(self, tmp_path, key, value):
         path = tmp_path / "config.yaml"
         path.write_text(f"{key}: {value}\n")
@@ -153,16 +152,6 @@ class TestConfig:
         config = config_from_dict({"graduation_threshold": -15, "failure_trigger": -2})
         assert config_to_dict(config)["graduation_threshold"] == -15.0
         assert type(config.failure_trigger) is float
-
-    @pytest.mark.parametrize(
-        "text, expected",
-        [("max_workers: null\n", None), ("max_workers:\n", None), ("instances: 3\n", None),
-         ("max_workers: 3\n", 3)],
-    )
-    def test_max_workers_loaded(self, tmp_path, text, expected):
-        path = tmp_path / "config.yaml"
-        path.write_text(text)
-        assert load_config(path).max_workers == expected
 
     def test_load_config_bad_representation(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -383,8 +372,10 @@ class TestRunProtocol:
     def test_outputs_pinned_across_versions(self, tmp_path):
         """SHA-256 of the report and of every memory and failure snapshot.
 
-        The values were computed before the snapshot writers moved to libyaml;
-        a change that alters any of these bytes must say why and update them.
+        The snapshot bytes date from before the snapshot writers moved to
+        libyaml; the report's changed last when the config lost its
+        ``max_workers`` key. A change that alters any of these bytes must say
+        why and update them.
         """
         run_protocol(small_config(representation=Representation.MIXED), run_dir=tmp_path)
         report = tmp_path / "final_report.json"
@@ -396,11 +387,11 @@ class TestRunProtocol:
             for path in [report, *snapshots]
         )
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "baf711ce5305b3613503746a688cc9dd713d00bf7fb975f8ff24aeea5651372a"
+            "66b3deee281961169e75aa4eef8262d2c997ce4f9e902f009ca132b1f73b3225"
         )
         assert len(snapshots) == 3 * 2 * 6 + 12  # memory files per stage, failure snapshots
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == (
-            "1f52499dacdc710742d3965db1ff0f1ad801c1fca24e56b0ecd5804121636fd0"
+            "695a142e56d54c63e8410dd56b5f24f80d839b1d356fb604bcd0eef37092c9aa"
         )
 
     @pytest.mark.parametrize(
@@ -408,18 +399,18 @@ class TestRunProtocol:
         [
             (
                 Representation.RULES,
-                "ac5b21745994d0bdf61dee562854ddcb015af61a92f6fbebcb68d6dd2a7fec76",
-                "65b55fbc1d751acbad2001faf2a1b74697eebc33b03d75d666ef95076fbef47c",
+                "5acc108e2aed87033a4933a2336cced93e3e77e291583d8518ea205dff7290b9",
+                "6aeae86a327740e12fcd5927d50c847c90cdcbe0dead4e7374a18441da35af76",
             ),
             (
                 Representation.EXAMPLES,
-                "8a937bf24c297e8dee531bed4e612e9c74ca9c375dbfde10cf974261d76ea3f6",
-                "f71e725ec3a822242965244806aee56987f0c693c61f83a94d87bec4752be69a",
+                "19f4c9000cc8869202c9188333e58dd214ea058a42d8ec84bf1bccebe7ca453e",
+                "b2a5d3827e977ed465943ea8d0b2dee96ae5da193e1dde008a85f5d4ab2e20ae",
             ),
             (
                 Representation.MIXED,
-                "6aa524128a875ec5c6efdbe7eb6ebf713581c2e44429ee6b2618af57e962b02a",
-                "7b3cc6435b88dbb714fec9379a86b1f383520e044ae8995646a84ab176e91802",
+                "5a6c516573004653c089a9721d0c2752c2c7539693454b7d6a4ef36125af9a8c",
+                "7dc79df68c52f7f15a5d708ad05b2d99a6f77f0e25f2f58db8f3d6853f4d9c39",
             ),
         ],
     )
@@ -430,9 +421,10 @@ class TestRunProtocol:
 
         A scripted run makes no completions, so ``token_usage.log`` is empty
         and the whole directory, trajectories included, is deterministic. The
-        values were computed while the scripted fallback still built its
-        sub-agent texts; a change that alters any of these bytes must say why
-        and update them.
+        values were re-pinned when the config lost its ``max_workers`` key,
+        which left every file but ``config.yaml`` and ``final_report.json``
+        as it was. A change that alters any of these bytes must say why and
+        update them.
         """
         config = small_config(backend="scripted", representation=representation)
         run_protocol(config, run_dir=tmp_path)
@@ -718,7 +710,7 @@ class TestZeroShot:
         config = small_config(
             backend="scripted", instances=4, stages=3, attempts_per_stage=3, base_seed=5
         )
-        trained = run_protocol(config).report.pooled_returns()
+        trained = [r for rs in run_protocol(config).report.eval_returns.values() for r in rs]
         zero = [r for rs in evaluate_zero_shot(config).values() for r in rs]
         assert sum(trained) / len(trained) > sum(zero) / len(zero)
 
@@ -825,11 +817,11 @@ class TestStageWorkers:
         assert peaks == {"adaptation": 1, "evaluation": 1}
 
     @staticmethod
-    def _http_run(monkeypatch, **overrides):
+    def _http_run(monkeypatch):
         peaks = _record_decide_peaks(monkeypatch, LLMBackend)
         connector = HttpConnector(base_url="http://provider.invalid", transport=_delayed_mock_transport)
         config = small_config(
-            instances=3, stages=1, attempts_per_stage=1, eval_episodes_per_instance=1, **overrides
+            instances=3, stages=1, attempts_per_stage=1, eval_episodes_per_instance=1
         )
         return peaks, run_protocol(config, connector=connector).report
 
@@ -841,11 +833,7 @@ class TestStageWorkers:
         peaks, report = self._http_run(monkeypatch)
         assert peaks["evaluation"] > 1
         monkeypatch.undo()
-        serial_peaks, serial = self._http_run(monkeypatch, max_workers=1)
+        monkeypatch.setattr(protocol, "_stage_workers", lambda config, backend: 1)
+        serial_peaks, serial = self._http_run(monkeypatch)
         assert serial_peaks == {"adaptation": 1, "evaluation": 1}
         assert report.eval_returns == serial.eval_returns
-
-    def test_explicit_max_workers_honoured(self, monkeypatch):
-        peaks = _record_decide_peaks(monkeypatch, ScriptedBackend)
-        run_protocol(small_config(backend="scripted", instances=4, stages=1, max_workers=4))
-        assert peaks["adaptation"] > 1
