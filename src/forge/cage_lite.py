@@ -7,10 +7,10 @@ non-positive and fall into the calibrated penalty groups documented in
 :mod:`forge.calibration`.
 
 An episode is driven in place: ``begin`` returns an :class:`Episode` that
-owns one live generator, and ``Episode.step`` advances it. ``reset`` and
-``step`` stay pure functions from state value to state value, carrying the
-RNG state along; both wrap the same transition, so episodes replay
-bit-identically from ``(seed, action sequence)`` either way.
+owns one live generator, and ``step(episode, action)`` advances it. This is
+the simulator's one transition, so episodes replay bit-identically from
+``(seed, action sequence)``. ``Episode.state`` snapshots an episode as an
+:class:`EnvState` value for failure snapshots.
 """
 
 from __future__ import annotations
@@ -311,24 +311,9 @@ def _observe(
     )
 
 
-def _resume_rng(rng_state: tuple) -> random.Random:
-    """A generator continuing the stream saved in ``rng_state``.
-
-    ``random.Random()`` would seed itself from OS entropy only for
-    ``setstate`` to overwrite it; allocating without ``__init__`` skips that.
-    """
-    rng = random.Random.__new__(random.Random)
-    rng.setstate(rng_state)
-    return rng
-
-
 class Episode:
-    """One episode in progress, stepped in place with one live generator.
-
-    ``step`` applies a blue action, advances the attacker once and scores
-    the step. Draw order is fixed (action effect, attacker operation,
-    observation noise) so replays are deterministic. ``state`` snapshots the
-    episode as an :class:`EnvState`; ``resume`` continues one.
+    """One episode in progress, stepped in place by :func:`step` with one live
+    generator. ``state`` snapshots the episode as an :class:`EnvState`.
     """
 
     __slots__ = ("hosts", "chain", "step_index", "rng")
@@ -345,12 +330,6 @@ class Episode:
         self.step_index = step_index
         self.rng = rng
 
-    @classmethod
-    def resume(cls, state: EnvState) -> "Episode":
-        return cls(
-            list(state.hosts), state.attacker.target_chain, state.step, _resume_rng(state.rng_state)
-        )
-
     @property
     def done(self) -> bool:
         return self.step_index >= cal.EPISODE_LENGTH
@@ -364,47 +343,6 @@ class Episode:
             rng_state=self.rng.getstate(),
         )
 
-    def step(self, action: BlueAction) -> tuple[Observation, float]:
-        if self.done:
-            raise EpisodeTerminalError(f"episode already ended at step {self.step_index}")
-        if not isinstance(action, BlueAction):
-            raise InvalidActionError(f"not a BlueAction: {action!r}")
-
-        hosts, rng = self.hosts, self.rng
-        kind, target = action.kind, action.target
-        analysed_host: int | None = None
-        reveal = False
-        attacker_stunned = False
-
-        if kind is ActionKind.ANALYSE:
-            analysed_host = target
-            reveal = rng.random() < cal.ANALYSE_REVEAL_PROB
-        elif kind is ActionKind.REMOVE:
-            host = hosts[target]
-            if host.level == CompromiseLevel.USER_ACCESS and rng.random() < cal.REMOVE_SUCCESS_PROB:
-                hosts[target] = _HOST_VALUES[CompromiseLevel.CLEAN, host.decoy_present]
-        elif kind is ActionKind.RESTORE:
-            # Reimaging the host the attacker operates from costs it this
-            # step's operation on top of the lost milestones.
-            attacker_stunned = target == _foothold(hosts, self.chain)
-            hosts[target] = _CLEAN
-        elif kind is ActionKind.DECOY:
-            hosts[target] = _HOST_VALUES[hosts[target].level, True]
-
-        if not attacker_stunned:
-            _advance_attacker(hosts, self.chain, rng)
-
-        self.step_index += 1
-        reward_tenths = _reward_tenths(hosts, kind)
-        observation = _observe(
-            hosts,
-            rng,
-            step_index=self.step_index,
-            analysed_host=analysed_host,
-            analysed_level=hosts[target].level if reveal else None,
-        )
-        return observation, reward_tenths / 10.0
-
 
 def begin(seed: int) -> tuple[Episode, Observation]:
     """Start a fresh episode. Identical seeds replay bit-identically."""
@@ -414,28 +352,53 @@ def begin(seed: int) -> tuple[Episode, Observation]:
     return Episode(hosts, cal.TARGET_CHAIN, 0, rng), observation
 
 
-def reset(seed: int) -> tuple[EnvState, Observation]:
-    """:func:`begin` as a state value."""
-    episode, observation = begin(seed)
-    return episode.state(), observation
+def step(episode: Episode, action: BlueAction) -> tuple[Observation, float]:
+    """Apply a blue action to ``episode`` in place, advance the attacker once
+    and score the step.
 
+    Draw order is fixed (action effect, attacker operation, observation
+    noise) so replays are deterministic. Both errors are raised before any
+    change to the episode.
+    """
+    if episode.done:
+        raise EpisodeTerminalError(f"episode already ended at step {episode.step_index}")
+    if not isinstance(action, BlueAction):
+        raise InvalidActionError(f"not a BlueAction: {action!r}")
 
-def is_terminal(state: EnvState) -> bool:
-    return state.step >= cal.EPISODE_LENGTH
+    hosts, rng = episode.hosts, episode.rng
+    kind, target = action.kind, action.target
+    analysed_host: int | None = None
+    reveal = False
+    attacker_stunned = False
 
+    if kind is ActionKind.ANALYSE:
+        analysed_host = target
+        reveal = rng.random() < cal.ANALYSE_REVEAL_PROB
+    elif kind is ActionKind.REMOVE:
+        host = hosts[target]
+        if host.level == CompromiseLevel.USER_ACCESS and rng.random() < cal.REMOVE_SUCCESS_PROB:
+            hosts[target] = _HOST_VALUES[CompromiseLevel.CLEAN, host.decoy_present]
+    elif kind is ActionKind.RESTORE:
+        # Reimaging the host the attacker operates from costs it this
+        # step's operation on top of the lost milestones.
+        attacker_stunned = target == _foothold(hosts, episode.chain)
+        hosts[target] = _CLEAN
+    elif kind is ActionKind.DECOY:
+        hosts[target] = _HOST_VALUES[hosts[target].level, True]
 
-def step(state: EnvState, action: BlueAction) -> tuple[EnvState, Observation, float]:
-    """:meth:`Episode.step` as a pure function; ``state`` is left unchanged."""
-    episode = Episode.resume(state)
-    observation, reward = episode.step(action)
-    return episode.state(), observation, reward
+    if not attacker_stunned:
+        _advance_attacker(hosts, episode.chain, rng)
 
-
-def attacker_transition(state: EnvState) -> EnvState:
-    """Apply just the attacker's move (used by tests to probe the kill chain)."""
-    episode = Episode.resume(state)
-    _advance_attacker(episode.hosts, episode.chain, episode.rng)
-    return episode.state()
+    episode.step_index += 1
+    reward_tenths = _reward_tenths(hosts, kind)
+    observation = _observe(
+        hosts,
+        rng,
+        step_index=episode.step_index,
+        analysed_host=analysed_host,
+        analysed_level=hosts[target].level if reveal else None,
+    )
+    return observation, reward_tenths / 10.0
 
 
 def episode_return(records: Iterable[StepRecord]) -> float:
@@ -498,7 +461,7 @@ def run_policy_episode(policy: Policy, seed: int) -> list[StepRecord]:
     records: list[StepRecord] = []
     while not episode.done:
         action = policy(observation, policy_rng)
-        observation, reward = episode.step(action)
+        observation, reward = step(episode, action)
         records.append(StepRecord(action=action, reward=reward, observation=observation))
     return records
 

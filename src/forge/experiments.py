@@ -45,10 +45,6 @@ class DirectionalStudyResult:
         return statistics.fmean(c.reflexion_mean for c in self.comparisons)
 
     @property
-    def pooled_zero_shot_mean(self) -> float:
-        return statistics.fmean(c.zero_shot_mean for c in self.comparisons)
-
-    @property
     def forge_reflexion_gap(self) -> float:
         return self.pooled_forge_mean - self.pooled_reflexion_mean
 

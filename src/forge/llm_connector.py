@@ -61,12 +61,6 @@ class TokenUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
-    def __add__(self, other: "TokenUsage") -> "TokenUsage":
-        return TokenUsage(
-            self.prompt_tokens + other.prompt_tokens,
-            self.completion_tokens + other.completion_tokens,
-        )
-
 
 @dataclass(frozen=True)
 class ChatResponse:

@@ -97,16 +97,12 @@ def make_reference_penalty_log() -> list[PenaltyLogEntry]:
     return entries
 
 
-def write_penalty_log(entries: list[PenaltyLogEntry], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"reward={e.reward} restore={int(e.is_restore)}" for e in entries]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+_RESTORE_FLAGS = {"0": False, "1": True}
 
 
 def read_penalty_log(path: str | Path) -> list[PenaltyLogEntry]:
     """Parse ``reward=<negative float> restore=<0|1>`` lines; a bad line raises
-    ``ValueError`` naming its line number."""
+    ``ValueError`` naming its line number, and so does a log without one."""
     entries = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -115,7 +111,7 @@ def read_penalty_log(path: str | Path) -> list[PenaltyLogEntry]:
         try:
             fields = dict(part.split("=", 1) for part in line.split())
             entry = PenaltyLogEntry(
-                reward=float(fields["reward"]), is_restore=bool(int(fields["restore"]))
+                reward=float(fields["reward"]), is_restore=_RESTORE_FLAGS[fields["restore"]]
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad penalty log line {line_no}: {line!r}") from exc
@@ -124,6 +120,8 @@ def read_penalty_log(path: str | Path) -> list[PenaltyLogEntry]:
                 f"bad penalty log line {line_no}: {line!r}: reward must be negative"
             )
         entries.append(entry)
+    if not entries:
+        raise ValueError(f"penalty log {path} holds no penalty lines")
     return entries
 
 

@@ -2,13 +2,15 @@
 graduation, champion selection and broadcast, then a final frozen evaluation.
 
 A single coordinator owns every cross-instance step (graduation, champion
-selection, broadcast); worker threads only ever touch their own instance's
+selection, broadcast); an instance's job only ever touches its own instance's
 state, and a stage barrier guarantees no next-stage attempt starts before
-every active instance has checkpointed.
+every active instance has checkpointed. Offline backends run every job on
+the calling thread; only an :class:`HttpConnector` gets a thread pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -312,10 +314,9 @@ class _EventLog:
 
 
 def checkpoint(
-    memory: InstanceMemory, seed: int, backend, ctx: CallContext | None = None, env=None
+    memory: InstanceMemory, seed: int, backend, ctx: CallContext | None = None, env=cage_lite
 ) -> float:
     """Frozen single-episode probe; retried once, then the failure sentinel."""
-    env = env or cage_lite
     for attempt in range(2):
         try:
             return run_frozen_episode(memory, seed, backend, ctx=ctx, env=env)
@@ -469,7 +470,7 @@ def _worker(
 
 
 def _stage_workers(config: ProtocolConfig, backend) -> int:
-    """Worker threads for the stage pool and the final evaluation pool.
+    """Workers for a stage's jobs and for the final evaluation's.
 
     Threads only pay off while calls wait on the network, i.e. when the
     backend talks through an :class:`HttpConnector`. Offline backends are pure
@@ -478,6 +479,27 @@ def _stage_workers(config: ProtocolConfig, backend) -> int:
     if isinstance(getattr(backend, "connector", None), HttpConnector):
         return min(config.instances, 8)
     return 1
+
+
+def _job_pool(config: ProtocolConfig, backend):
+    """A thread pool of ``_stage_workers`` threads, or no pool for one worker.
+
+    Used as a context manager around every stage of a run, so its threads
+    start once per run rather than once per stage.
+    """
+    workers = _stage_workers(config, backend)
+    return ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
+
+
+def _run_jobs(pool: ThreadPoolExecutor | None, job, jobs: list[tuple]) -> list:
+    """``job(*args)`` for each ``args`` of ``jobs``, results in input order.
+
+    Without a pool the jobs run inline on the calling thread.
+    """
+    if pool is None:
+        return [job(*args) for args in jobs]
+    futures = [pool.submit(job, *args) for args in jobs]
+    return [future.result() for future in futures]
 
 
 def _run_stages(
@@ -496,18 +518,15 @@ def _run_stages(
     # Memory hash -> the snapshot files first written for it in this run.
     snapshots: dict[str, list[Path]] = {}
 
-    with ThreadPoolExecutor(_stage_workers(config, backend)) as executor:
+    with _job_pool(config, backend) as pool:
         for stage in range(1, config.stages + 1):
             active = [p for p in population if p.graduated_at is None]
-            futures = {
-                p.instance: executor.submit(
-                    _worker, config, backend, p, stage, events, run_path
-                )
-                for p in active
-            }
             # Stage barrier: nothing below runs until every active instance
             # has finished its attempts and its checkpoint.
-            outcomes = {i: f.result() for i, f in futures.items()}
+            done = _run_jobs(
+                pool, _worker, [(config, backend, p, stage, events, run_path) for p in active]
+            )
+            outcomes = {p.instance: outcome for p, outcome in zip(active, done)}
 
             summaries = [s for i in sorted(outcomes) for s in outcomes[i][0]]
             results = [
@@ -644,7 +663,7 @@ def evaluate(
 
     The seeds depend only on the base seed, the instance and the episode, so
     runs with the same config are paired per episode whatever their training.
-    Each instance's episodes are one job on a pool sized like a stage's.
+    Each instance's episodes are one job, run like a stage's jobs.
     """
 
     def episodes(instance: int, memory: InstanceMemory) -> list[float]:
@@ -656,12 +675,9 @@ def evaluate(
             for episode in range(1, config.eval_episodes_per_instance + 1)
         ]
 
-    with ThreadPoolExecutor(_stage_workers(config, backend)) as executor:
-        futures = {
-            instance: executor.submit(episodes, instance, memory)
-            for instance, memory in memories.items()
-        }
-        return {instance: future.result() for instance, future in futures.items()}
+    with _job_pool(config, backend) as pool:
+        returns = _run_jobs(pool, episodes, list(memories.items()))
+    return dict(zip(memories, returns))
 
 
 def evaluate_zero_shot(config: ProtocolConfig, connector=None) -> dict[int, list[float]]:

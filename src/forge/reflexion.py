@@ -96,8 +96,8 @@ def run_attempt(
 
     ``tau=None`` runs the episode frozen (no trigger), which is how
     checkpoints and evaluations reuse this loop. ``env.begin(seed)`` returns
-    an episode with ``done``, ``step(action)`` and ``state()`` plus the first
-    observation; the episode is stepped in place, and its state is taken
+    an episode with ``done`` and ``state()`` plus the first observation;
+    ``env.step(episode, action)`` steps it in place, and its state is taken
     only for an aborted attempt's snapshot.
     """
     if tau is not None and tau >= 0:
@@ -110,7 +110,7 @@ def run_attempt(
             action = backend.decide(observation, memory, ctx)
         except ConnectorError as exc:
             raise AttemptError(f"backend failed during attempt: {exc}") from exc
-        observation, reward = episode.step(action)
+        observation, reward = env.step(episode, action)
         records.append(StepRecord(action=action, reward=reward, observation=observation))
         if tau is not None and reward < tau:
             failing_step = len(records) - 1

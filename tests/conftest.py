@@ -24,13 +24,19 @@ def flags_for(hosts: list[int]) -> tuple[bool, ...]:
     return tuple(i in hosts for i in range(13))
 
 
+def write_penalty_lines(entries, path) -> None:
+    """Write penalty-log entries as documented ``reward=... restore=<0|1>`` lines."""
+    lines = [f"reward={e.reward} restore={int(e.is_restore)}\n" for e in entries]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 @dataclass
 class FakeState:
     step: int
 
 
 class ScriptedRewardEpisode:
-    """Episode of :class:`ScriptedRewardEnv`, stepped in place."""
+    """Episode of :class:`ScriptedRewardEnv`, stepped in place by its ``step``."""
 
     def __init__(self, rewards: list[float]):
         self.rewards = rewards
@@ -39,11 +45,6 @@ class ScriptedRewardEpisode:
     @property
     def done(self) -> bool:
         return self.step_index >= len(self.rewards)
-
-    def step(self, action: BlueAction):
-        reward = self.rewards[self.step_index]
-        self.step_index += 1
-        return blank_observation(self.step_index), reward
 
     def state(self) -> FakeState:
         return FakeState(self.step_index)
@@ -57,6 +58,11 @@ class ScriptedRewardEnv:
 
     def begin(self, seed: int):
         return ScriptedRewardEpisode(self.rewards), blank_observation(0)
+
+    def step(self, episode: ScriptedRewardEpisode, action: BlueAction):
+        reward = episode.rewards[episode.step_index]
+        episode.step_index += 1
+        return blank_observation(episode.step_index), reward
 
 
 class MonitorBackend:

@@ -142,10 +142,10 @@ class TestScriptedDecide:
         backend = ScriptedBackend()
         memory.append(clause_rule(6))
         memory.append(clause_rule(10, response="Remove"))
-        state, observation = env.reset(17)
-        while not env.is_terminal(state):
+        episode, observation = env.begin(17)
+        while not episode.done:
             decision = backend.decide(observation, memory)
-            state, observation, _ = env.step(state, decision)
+            observation, _ = env.step(episode, decision)
 
     @given(observation=OBSERVATIONS, representation=st.sampled_from(Representation))
     def test_without_firing_clause_equals_reference_heuristic(self, observation, representation):
@@ -159,16 +159,10 @@ class TestScriptedDecide:
 
 
 def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
-    state, _ = env.reset(1)
-    hosts = list(state.hosts)
+    episode, _ = env.begin(1)
     for host, level in levels.items():
-        hosts[host] = env.HostCompromise(level=level)
-    hosts = tuple(hosts)
-    from dataclasses import replace
-
-    state = replace(
-        state, hosts=hosts, attacker=env._attacker_view(hosts, state.attacker.target_chain)
-    )
+        episode.hosts[host] = env.HostCompromise(level=level)
+    state = episode.state()
     observation = blank_observation(
         anomalous_process=flags_for(list(levels)),
         new_file=flags_for(new_file_on if new_file_on is not None else list(levels)),

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_penalty_lines
 from forge import experiments
 from forge.cli import build_parser, main
-from forge.metrics import make_reference_penalty_log, write_penalty_log
+from forge.metrics import make_reference_penalty_log
 from forge.protocol import Condition
 
 CONFIG = """
@@ -149,7 +150,7 @@ class TestStudyVerb:
 class TestAnalyzeTrigger:
     def test_reference_log_report(self, tmp_path, capsys):
         log_path = tmp_path / "penalties.log"
-        write_penalty_log(make_reference_penalty_log(), log_path)
+        write_penalty_lines(make_reference_penalty_log(), log_path)
         assert main(["analyze-trigger", "--log", str(log_path), "--tau", "-1.1"]) == 0
         out = capsys.readouterr().out
         assert "precision: 1.000" in out
@@ -184,13 +185,23 @@ class TestAnalyzeTrigger:
         err = capsys.readouterr().err
         assert "config error" in err and "--tau" in err
 
-    @pytest.mark.parametrize("bad_line", ["reward=0.5 restore=0", "reward=0 restore=1", "garbage"])
+    @pytest.mark.parametrize(
+        "bad_line", ["reward=0.5 restore=0", "reward=0 restore=1", "reward=-1.0 restore=7", "garbage"]
+    )
     def test_bad_log_line_is_config_error_naming_its_line(self, tmp_path, capsys, bad_line):
         log_path = tmp_path / "penalties.log"
         log_path.write_text(f"# census\nreward=-1.0 restore=1\n{bad_line}\n", encoding="utf-8")
         assert main(["analyze-trigger", "--log", str(log_path), "--tau", "-1.1"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "line 3" in err
+
+    @pytest.mark.parametrize("text", ["", "# census\n\n"])
+    def test_log_without_penalty_lines_is_config_error_naming_it(self, tmp_path, capsys, text):
+        log_path = tmp_path / "penalties.log"
+        log_path.write_text(text, encoding="utf-8")
+        assert main(["analyze-trigger", "--log", str(log_path), "--tau", "-1.1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(log_path) in err
 
 
 class TestSweepVerb:

@@ -56,7 +56,7 @@ class TestMock:
             RequestMeta(instance=1, role="analyst", phase="evaluation"),
             None,
         ]
-        expected = TokenUsage()
+        counted = []
         for k in range(24):
             system = "".join(systems[(k // 3) % 2])
             messages = (ChatMessage("system", system), ChatMessage("user", "obs " * k))
@@ -69,8 +69,10 @@ class TestMock:
             )
             assert response.usage == usage
             if meta is not None:
-                expected += usage
-        assert ledger.totals() == expected
+                counted.append(usage)
+        assert ledger.totals() == TokenUsage(
+            sum(u.prompt_tokens for u in counted), sum(u.completion_tokens for u in counted)
+        )
 
     def test_kept_counts_survive_racing_threads(self):
         connector = MockConnector(responder=lambda r: "ok")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_penalty_lines
 from forge.metrics import (
     PenaltyLogEntry,
     aggregate,
@@ -20,7 +21,6 @@ from forge.metrics import (
     sweep_tau,
     tail_risk,
     trigger_analysis,
-    write_penalty_log,
 )
 from forge.protocol import ConfigError, ProtocolConfig, run_protocol
 
@@ -105,7 +105,7 @@ class TestTriggerAnalysis:
     def test_log_file_round_trip(self, tmp_path):
         log = [PenaltyLogEntry(-1.0, True), PenaltyLogEntry(-2.4, False)]
         path = tmp_path / "penalties.log"
-        write_penalty_log(log, path)
+        write_penalty_lines(log, path)
         assert read_penalty_log(path) == log
 
     def test_bad_log_line_rejected(self, tmp_path):

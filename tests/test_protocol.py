@@ -715,11 +715,12 @@ class TestZeroShot:
         assert sum(trained) / len(trained) > sum(zero) / len(zero)
 
 
-def _record_decide_peaks(monkeypatch, backend_cls) -> dict[str, int]:
+def _record_decide_peaks(monkeypatch, backend_cls, threads: set | None = None) -> dict[str, int]:
     """Peak number of ``decide`` calls in flight, by the phase of the call.
 
     Training and final evaluation never overlap in time, so each phase's peak
-    counts only calls of that phase.
+    counts only calls of that phase. ``threads``, if given, collects the
+    threads the calls ran on.
     """
     peaks = {"adaptation": 0, "evaluation": 0}
     in_flight = 0
@@ -731,6 +732,8 @@ def _record_decide_peaks(monkeypatch, backend_cls) -> dict[str, int]:
         with lock:
             in_flight += 1
             peaks[ctx.phase] = max(peaks[ctx.phase], in_flight)
+            if threads is not None:
+                threads.add(threading.current_thread())
         try:
             # Give up the interpreter lock inside the call, so that any other
             # worker thread gets to start a call of its own meanwhile.
@@ -805,16 +808,18 @@ class TestInjectedConnectorTokens:
 
 
 class TestStageWorkers:
-    """Offline backends train and evaluate on one worker; only network waits get more."""
+    """Offline backends train and evaluate on the calling thread; only network waits get more."""
 
     @pytest.mark.parametrize("backend, backend_cls", [
         ("scripted", ScriptedBackend),
         ("mock", LLMBackend),
     ])
     def test_offline_backend_uses_one_worker(self, monkeypatch, backend, backend_cls):
-        peaks = _record_decide_peaks(monkeypatch, backend_cls)
+        threads = set()
+        peaks = _record_decide_peaks(monkeypatch, backend_cls, threads)
         run_protocol(small_config(backend=backend, instances=4, stages=1))
         assert peaks == {"adaptation": 1, "evaluation": 1}
+        assert threads == {threading.main_thread()}
 
     @staticmethod
     def _http_run(monkeypatch):

@@ -329,10 +329,10 @@ class TestEpisodeSteppedInPlace:
                 continue
             aborted += 1
             snapshot = outcome.snapshot
-            state, _ = env.reset(seed)
+            episode, _ = env.begin(seed)
             for record in outcome.trajectory:
-                state, observation, reward = env.step(state, record.action)
+                observation, reward = env.step(episode, record.action)
                 assert (observation, reward) == (record.observation, record.reward)
             assert len(outcome.trajectory) == snapshot.metadata.failing_step + 1
-            assert snapshot.env_state == state
+            assert snapshot.env_state == episode.state()
         assert aborted > 0

@@ -2,7 +2,8 @@
 
 ``perfbench/spans.py`` wraps each ``(owner, attribute)`` of ``TARGETS`` by
 looking it up in ``owner.__dict__``; a rename in the program would make every
-traced benchmark run raise ``KeyError``.
+traced benchmark run raise ``KeyError``. A wrapped name must also be the one
+the program calls, or its span reads 0 without failing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from forge import cage_lite
+from forge.agents import ScriptedBackend, default_memory
+from forge.reflexion import AttemptStatus, run_attempt
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -34,3 +39,18 @@ TARGETS = load_spans().TARGETS
 def test_span_target_is_defined_on_its_owner(owner, attr):
     assert attr in owner.__dict__
     assert callable(owner.__dict__[attr])
+
+
+def test_every_simulator_step_goes_through_the_module_step(monkeypatch):
+    calls = 0
+    original = cage_lite.step
+
+    def counting(episode, action):
+        nonlocal calls
+        calls += 1
+        return original(episode, action)
+
+    monkeypatch.setattr(cage_lite, "step", counting)
+    outcome = run_attempt(default_memory(), 7, None, ScriptedBackend())
+    assert outcome.status is AttemptStatus.COMPLETED
+    assert calls == len(outcome.trajectory) == 30
