@@ -6,7 +6,6 @@ from .memory import (
     Clause,
     InstanceMemory,
     MemoryArtifact,
-    MemoryDelta,
     Origin,
     Representation,
     Role,
@@ -30,7 +29,6 @@ __all__ = [
     "FinalReport",
     "InstanceMemory",
     "MemoryArtifact",
-    "MemoryDelta",
     "Origin",
     "ProtocolConfig",
     "Representation",

@@ -23,10 +23,8 @@ from typing import TYPE_CHECKING
 from .cage_lite import (
     ActionKind,
     BlueAction,
-    CompromiseLevel,
     InvalidActionError,
     Observation,
-    deepest_compromised_chain_host,
     format_step_record,
     heuristic_policy,
     subnet_of,
@@ -224,11 +222,11 @@ def serialize_observation(observation: Observation) -> str:
 
 def serialize_snapshot(snapshot: "FailureSnapshot") -> str:
     """Flatten a failure snapshot into the text given to learning agents."""
-    meta = snapshot.metadata
-    failing_host = deepest_compromised_chain_host(snapshot.env_state)
+    origin = snapshot.origin
+    failing_host = snapshot.failing_host
     lines = [
-        f"instance={meta.instance} stage={meta.stage} attempt={meta.attempt}",
-        f"aborted at step={meta.failing_step} reward={meta.failing_reward:.1f}",
+        f"instance={origin.instance} stage={origin.stage} attempt={origin.attempt}",
+        f"aborted at step={snapshot.failing_step} reward={snapshot.failing_reward:.1f}",
         f"failing_host={-1 if failing_host is None else failing_host}",
         "trajectory:",
     ]
@@ -340,17 +338,10 @@ class ScriptedBackend:
         clear root access. A Remove clause learned from thin evidence is a
         counterproductive artifact that only selection can weed out.
         """
-        state = snapshot.env_state
-        compromised = [
-            h
-            for h in reversed(state.attacker.target_chain)
-            if state.hosts[h].level >= CompromiseLevel.USER_ACCESS
-        ]
-        if not compromised:
+        host = snapshot.failing_host
+        if host is None:
             return None, "Restore"
-        host = compromised[0]
-        failing_observation = snapshot.trajectory[-1].observation
-        new_file = failing_observation.flags(host)[2]
+        new_file = snapshot.trajectory[-1].observation.flags(host)[2]
         return host, ("Restore" if new_file else "Remove")
 
 

@@ -178,16 +178,6 @@ class MemoryArtifact:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryDelta:
-    additions: tuple[MemoryArtifact, ...]
-
-    def __post_init__(self) -> None:
-        origins = {a.origin for a in self.additions}
-        if len(origins) > 1:
-            raise ArtifactValidationError("all additions in a delta must share one origin")
-
-
 DEFAULT_CAPACITY = 20
 
 
@@ -291,12 +281,6 @@ class InstanceMemory:
                 role.value: [a.to_dict() for a in self.dynamic[role]] for role in ACTING_ROLES
             },
         }
-
-
-def apply_delta(memory: InstanceMemory, delta: MemoryDelta) -> InstanceMemory:
-    for artifact in delta.additions:
-        memory.append(artifact)
-    return memory
 
 
 def replace_dynamic(dst: InstanceMemory, src: InstanceMemory) -> InstanceMemory:

@@ -101,15 +101,19 @@ _RESTORE_FLAGS = {"0": False, "1": True}
 
 
 def read_penalty_log(path: str | Path) -> list[PenaltyLogEntry]:
-    """Parse ``reward=<negative float> restore=<0|1>`` lines; a bad line raises
-    ``ValueError`` naming its line number, and so does a log without one."""
+    """Parse ``reward=<negative float> restore=<0|1>`` lines, each field once
+    and nothing else; a bad line raises ``ValueError`` naming its line
+    number, and so does a log without one."""
     entries = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            fields = dict(part.split("=", 1) for part in line.split())
+            pairs = [part.split("=", 1) for part in line.split()]
+            if sorted(key for key, _ in pairs) != ["restore", "reward"]:
+                raise ValueError("a line holds reward= and restore= once each and nothing else")
+            fields = dict(pairs)
             entry = PenaltyLogEntry(
                 reward=float(fields["reward"]), is_restore=_RESTORE_FLAGS[fields["restore"]]
             )
@@ -231,14 +235,14 @@ def sweep_tau(
     directory is named after the exact threshold (``tau_-1.1``,
     ``tau_-1.05``), so a threshold may appear only once.
     """
-    if any(t >= 0 for t in taus):
-        raise ConfigError("all sweep thresholds must be negative")
+    # Every threshold is checked, as the failure trigger of its run's
+    # config, before any run starts.
+    run_configs = [replace(config, failure_trigger=tau) for tau in taus]
     if len(set(taus)) != len(taus):
         raise ConfigError("sweep thresholds must be distinct")
 
     entries = []
-    for tau in taus:
-        run_config = replace(config, failure_trigger=tau)
+    for tau, run_config in zip(taus, run_configs):
         run_dir = None
         if out_dir is not None:
             run_dir = Path(out_dir) / f"tau_{float(tau)!r}"

@@ -13,9 +13,9 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import shutil
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -89,8 +89,15 @@ class ProtocolConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.failure_trigger >= 0:
-            raise ConfigError("failure_trigger must be negative")
+        # NaN is not finite, so it fails here although it compares false with 0.
+        if not (math.isfinite(self.failure_trigger) and self.failure_trigger < 0):
+            raise ConfigError(
+                f"failure_trigger must be finite and negative, got {self.failure_trigger}"
+            )
+        if not math.isfinite(self.graduation_threshold):
+            raise ConfigError(
+                f"graduation_threshold must be finite, got {self.graduation_threshold}"
+            )
         if self.backend not in ("scripted", "mock", "http"):
             raise ConfigError(f"unknown backend: {self.backend!r}")
 
@@ -268,15 +275,6 @@ class FinalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class ProtocolEvent:
-    seq: int
-    stage: int
-    instance: int
-    kind: str  # "attempt" | "checkpoint"
-    payload: dict
-
-
 @dataclass
 class InstanceState:
     instance: int
@@ -288,24 +286,7 @@ class InstanceState:
 class RunResult:
     report: FinalReport
     population: list[InstanceState]
-    events: list[ProtocolEvent]
     ledger: TokenLedger
-
-
-class _EventLog:
-    def __init__(self) -> None:
-        self._events: list[ProtocolEvent] = []
-        self._lock = threading.Lock()
-
-    def record(self, stage: int, instance: int, kind: str, payload: dict) -> None:
-        with self._lock:
-            self._events.append(
-                ProtocolEvent(len(self._events), stage, instance, kind, payload)
-            )
-
-    def events(self) -> list[ProtocolEvent]:
-        with self._lock:
-            return list(self._events)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +357,6 @@ def run_protocol(
 ) -> RunResult:
     backend = build_backend(config, connector=connector)
     ledger = backend.ledger
-    events = _EventLog()
     population = [
         InstanceState(instance=i, memory=default_memory(config.memory_capacity))
         for i in range(1, config.instances + 1)
@@ -391,7 +371,7 @@ def run_protocol(
         )
 
     try:
-        result = _run_stages(config, backend, population, events, ledger, run_path)
+        result = _run_stages(config, backend, population, ledger, run_path)
     except Exception as exc:
         if run_path is not None:
             (run_path / "run_failed.txt").write_text(f"{exc}\n", encoding="utf-8")
@@ -423,7 +403,6 @@ def _worker(
     backend,
     state: InstanceState,
     stage: int,
-    events: _EventLog,
     run_path: Path | None,
 ) -> tuple[list[AttemptSummary], float]:
     workspace = None
@@ -439,33 +418,10 @@ def _worker(
         backend=backend,
         base_seed=config.base_seed,
         workspace=workspace,
-        on_attempt=lambda s: events.record(
-            stage,
-            state.instance,
-            "attempt",
-            {
-                "attempt": s.attempt,
-                "status": s.status,
-                "return": s.episode_return,
-                "artifacts_added": s.artifacts_added,
-            },
-        ),
     )
-    hash_before = state.memory.content_hash()
     ckpt_seed = derive_seed(config.base_seed, "ckpt", stage, state.instance)
     ctx = CallContext(instance=state.instance, phase=PHASE_ADAPTATION)
     score = checkpoint(state.memory, ckpt_seed, backend, ctx=ctx)
-    hash_after = state.memory.content_hash()
-    events.record(
-        stage,
-        state.instance,
-        "checkpoint",
-        {
-            "return": None if score == CHECKPOINT_FAILED else score,
-            "memory_hash_before": hash_before,
-            "memory_hash_after": hash_after,
-        },
-    )
     return summaries, score
 
 
@@ -506,7 +462,6 @@ def _run_stages(
     config: ProtocolConfig,
     backend,
     population: list[InstanceState],
-    events: _EventLog,
     ledger: TokenLedger,
     run_path: Path | None,
 ) -> RunResult:
@@ -523,9 +478,7 @@ def _run_stages(
             active = [p for p in population if p.graduated_at is None]
             # Stage barrier: nothing below runs until every active instance
             # has finished its attempts and its checkpoint.
-            done = _run_jobs(
-                pool, _worker, [(config, backend, p, stage, events, run_path) for p in active]
-            )
+            done = _run_jobs(pool, _worker, [(config, backend, p, stage, run_path) for p in active])
             outcomes = {p.instance: outcome for p, outcome in zip(active, done)}
 
             summaries = [s for i in sorted(outcomes) for s in outcomes[i][0]]
@@ -618,9 +571,7 @@ def _run_stages(
         aborted_attempts=sum(r.aborted_attempts for r in stage_reports),
         artifacts_created=sum(r.artifacts_created for r in stage_reports),
     )
-    return RunResult(
-        report=report, population=population, events=events.events(), ledger=ledger
-    )
+    return RunResult(report=report, population=population, ledger=ledger)
 
 
 def _save_snapshot(

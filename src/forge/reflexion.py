@@ -3,8 +3,8 @@
 An attempt runs an episode step by step and aborts the moment one per-step
 reward falls strictly below the failure trigger. The aborted attempt's
 snapshot (trajectory, memory, environment state) feeds a learning agent that
-synthesizes memory artifacts; the delta is applied and the episode restarts
-from step 0, up to a fixed number of attempts per stage.
+synthesizes memory artifacts; they are appended to memory and the episode
+restarts from step 0, up to a fixed number of attempts per stage.
 
 Completed attempts never touch memory; a Restore's own -1.0 cost sits above
 the default trigger of -1.1, so routine remediation does not fire it.
@@ -17,13 +17,12 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable
 
 from . import cage_lite
 from .agents import CallContext, serialize_snapshot
 from .cage_lite import EnvState, StepRecord, deepest_compromised_chain_host, episode_return
 from .llm_connector import ConnectorError
-from .memory import InstanceMemory, MemoryDelta, Origin, Representation, apply_delta, dump_yaml
+from .memory import InstanceMemory, MemoryArtifact, Origin, Representation, dump_yaml
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -39,20 +38,31 @@ class AttemptStatus(Enum):
 
 
 @dataclass(frozen=True)
-class SnapshotMeta:
-    instance: int
-    stage: int
-    attempt: int
-    failing_step: int
-    failing_reward: float
-
-
-@dataclass(frozen=True)
 class FailureSnapshot:
+    """An aborted attempt: its trajectory up to the failing step, the memory
+    it ran with and the environment state it stopped in.
+
+    The failing step and reward are read off the last trajectory record, so
+    ``failing_step`` is the 1-based step its trajectory line shows.
+    """
+
     trajectory: tuple[StepRecord, ...]
     memory_at_failure: InstanceMemory
-    metadata: SnapshotMeta
+    origin: Origin
     env_state: EnvState
+
+    @property
+    def failing_step(self) -> int:
+        return self.trajectory[-1].observation.step_index
+
+    @property
+    def failing_reward(self) -> float:
+        return self.trajectory[-1].reward
+
+    @functools.cached_property
+    def failing_host(self) -> int | None:
+        """The deepest compromised chain host, found on first use."""
+        return deepest_compromised_chain_host(self.env_state)
 
     @functools.cached_property
     def text(self) -> str:
@@ -62,14 +72,13 @@ class FailureSnapshot:
 
 @dataclass(frozen=True)
 class AttemptOutcome:
-    status: AttemptStatus
     episode_return: float
     trajectory: tuple[StepRecord, ...] = ()
     snapshot: FailureSnapshot | None = None
 
-    def __post_init__(self) -> None:
-        if (self.snapshot is not None) != (self.status is AttemptStatus.ABORTED):
-            raise ValueError("snapshot must be present exactly when the attempt aborted")
+    @property
+    def status(self) -> AttemptStatus:
+        return AttemptStatus.COMPLETED if self.snapshot is None else AttemptStatus.ABORTED
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,6 @@ class AttemptSummary:
     status: str  # "completed" | "aborted" | "errored"
     episode_return: float | None
     artifacts_added: int
-    failing_step: int | None = None
 
 
 def run_attempt(
@@ -113,30 +121,15 @@ def run_attempt(
         observation, reward = env.step(episode, action)
         records.append(StepRecord(action=action, reward=reward, observation=observation))
         if tau is not None and reward < tau:
-            failing_step = len(records) - 1
+            trajectory = tuple(records)
             snapshot = FailureSnapshot(
-                trajectory=tuple(records),
+                trajectory=trajectory,
                 memory_at_failure=memory.clone(),
-                metadata=SnapshotMeta(
-                    instance=instance,
-                    stage=stage,
-                    attempt=attempt,
-                    failing_step=failing_step,
-                    failing_reward=reward,
-                ),
+                origin=Origin(stage=stage, attempt=attempt, instance=instance),
                 env_state=episode.state(),
             )
-            return AttemptOutcome(
-                status=AttemptStatus.ABORTED,
-                episode_return=episode_return(records),
-                trajectory=tuple(records),
-                snapshot=snapshot,
-            )
-    return AttemptOutcome(
-        status=AttemptStatus.COMPLETED,
-        episode_return=episode_return(records),
-        trajectory=tuple(records),
-    )
+            return AttemptOutcome(episode_return(records), trajectory, snapshot)
+    return AttemptOutcome(episode_return(records), tuple(records))
 
 
 def synthesize(
@@ -144,16 +137,14 @@ def synthesize(
     representation: Representation,
     backend,
     ctx: CallContext | None = None,
-) -> MemoryDelta:
+) -> list[MemoryArtifact]:
     """Turn a failure snapshot into artifacts via Reflector and/or Exemplifier."""
-    meta = snapshot.metadata
-    origin = Origin(stage=meta.stage, attempt=meta.attempt, instance=meta.instance)
-    additions = []
+    artifacts = []
     if representation in (Representation.RULES, Representation.MIXED):
-        additions.extend(backend.reflect(snapshot, origin, ctx=ctx))
+        artifacts.extend(backend.reflect(snapshot, snapshot.origin, ctx=ctx))
     if representation in (Representation.EXAMPLES, Representation.MIXED):
-        additions.extend(backend.exemplify(snapshot, origin, ctx=ctx))
-    return MemoryDelta(additions=tuple(additions))
+        artifacts.extend(backend.exemplify(snapshot, snapshot.origin, ctx=ctx))
+    return artifacts
 
 
 def _write_attempt_artifacts(
@@ -161,16 +152,16 @@ def _write_attempt_artifacts(
 ) -> None:
     attempt_dir = workspace / f"attempt_{attempt:02d}"
     cage_lite.write_trajectory(outcome.trajectory, attempt_dir / "trajectory.log")
-    if outcome.snapshot is not None:
-        meta = outcome.snapshot.metadata
+    snapshot = outcome.snapshot
+    if snapshot is not None:
         payload = {
-            "instance": meta.instance,
-            "stage": meta.stage,
-            "attempt": meta.attempt,
-            "failing_step": meta.failing_step,
-            "failing_reward": meta.failing_reward,
-            "failing_host": deepest_compromised_chain_host(outcome.snapshot.env_state),
-            "snapshot_text": outcome.snapshot.text,
+            "instance": snapshot.origin.instance,
+            "stage": snapshot.origin.stage,
+            "attempt": snapshot.origin.attempt,
+            "failing_step": snapshot.failing_step,
+            "failing_reward": snapshot.failing_reward,
+            "failing_host": snapshot.failing_host,
+            "snapshot_text": snapshot.text,
         }
         (attempt_dir / "snapshot.yaml").write_text(dump_yaml(payload), encoding="utf-8")
 
@@ -187,7 +178,6 @@ def reflexion_loop(
     base_seed: int,
     env=cage_lite,
     workspace: str | Path | None = None,
-    on_attempt: Callable[[AttemptSummary], None] | None = None,
 ) -> list[AttemptSummary]:
     """Run exactly ``attempts`` attempts, learning from each aborted one.
 
@@ -217,32 +207,21 @@ def reflexion_loop(
             logger.warning(
                 "instance %d stage %d attempt %d errored: %s", instance, stage, attempt, exc
             )
-            summary = AttemptSummary(attempt, "errored", None, 0)
-            summaries.append(summary)
-            if on_attempt:
-                on_attempt(summary)
+            summaries.append(AttemptSummary(attempt, "errored", None, 0))
             continue
 
         # Every attempt's trajectory is written; aborted ones add the failure
         # snapshot that the learning agents consume.
         if workspace is not None:
             _write_attempt_artifacts(Path(workspace), attempt, outcome)
-        added = 0
-        if outcome.status is AttemptStatus.ABORTED:
-            delta = synthesize(outcome.snapshot, representation, backend, ctx=ctx)
-            apply_delta(memory, delta)
-            added = len(delta.additions)
-
-        summary = AttemptSummary(
-            attempt=attempt,
-            status=outcome.status.value,
-            episode_return=outcome.episode_return,
-            artifacts_added=added,
-            failing_step=outcome.snapshot.metadata.failing_step if outcome.snapshot else None,
+        added = []
+        if outcome.snapshot is not None:
+            added = synthesize(outcome.snapshot, representation, backend, ctx=ctx)
+            for artifact in added:
+                memory.append(artifact)
+        summaries.append(
+            AttemptSummary(attempt, outcome.status.value, outcome.episode_return, len(added))
         )
-        summaries.append(summary)
-        if on_attempt:
-            on_attempt(summary)
     return summaries
 
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass
 
 import pytest
 
+from forge import protocol
 from forge.agents import default_memory
 from forge.cage_lite import ActionKind, BlueAction, Observation
 
@@ -75,3 +78,78 @@ class MonitorBackend:
 @pytest.fixture
 def memory():
     return default_memory()
+
+
+@dataclass(frozen=True)
+class ProtocolCall:
+    """One ``reflexion_loop`` or ``checkpoint`` call made by ``forge.protocol``.
+
+    ``start`` and ``end`` are positions in one sequence shared by every call
+    of a run, taken when the call began and when it returned.
+    """
+
+    kind: str  # "reflexion_loop" | "checkpoint"
+    stage: int
+    instance: int
+    start: int
+    end: int
+    attempts: int = 0  # summaries a reflexion_loop returned
+    hash_before: str = ""  # memory hash when a checkpoint began
+    hash_after: str = ""  # ... and when it returned
+
+
+@pytest.fixture
+def protocol_calls(monkeypatch) -> list[ProtocolCall]:
+    """Every ``reflexion_loop`` and ``checkpoint`` call of the protocol runs in the test.
+
+    Calls may come from worker threads, so the list and the sequence are
+    shared under a lock. A checkpoint's stage is that of the last
+    ``reflexion_loop`` of its instance, which ran just before it in the
+    same job.
+    """
+    calls: list[ProtocolCall] = []
+    lock = threading.Lock()
+    sequence = itertools.count()
+    stages: dict[int, int] = {}
+    reflexion_loop = protocol.reflexion_loop
+    checkpoint = protocol.checkpoint
+
+    def tick() -> int:
+        with lock:
+            return next(sequence)
+
+    def recording_loop(memory, **kwargs):
+        with lock:
+            stages[kwargs["instance"]] = kwargs["stage"]
+            start = next(sequence)
+        summaries = reflexion_loop(memory, **kwargs)
+        call = ProtocolCall(
+            "reflexion_loop", kwargs["stage"], kwargs["instance"], start, tick(), len(summaries)
+        )
+        with lock:
+            calls.append(call)
+        return summaries
+
+    def recording_checkpoint(memory, seed, backend, ctx=None, **kwargs):
+        hash_before = memory.content_hash()
+        start = tick()
+        score = checkpoint(memory, seed, backend, ctx=ctx, **kwargs)
+        end = tick()
+        with lock:
+            stage = stages[ctx.instance]
+            calls.append(
+                ProtocolCall(
+                    "checkpoint",
+                    stage,
+                    ctx.instance,
+                    start,
+                    end,
+                    hash_before=hash_before,
+                    hash_after=memory.content_hash(),
+                )
+            )
+        return score
+
+    monkeypatch.setattr(protocol, "reflexion_loop", recording_loop)
+    monkeypatch.setattr(protocol, "checkpoint", recording_checkpoint)
+    return calls

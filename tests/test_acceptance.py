@@ -33,7 +33,7 @@ def announce(criterion: int, detail: str) -> None:
     print(f"ACCEPTANCE {criterion:02d} PASS: {detail}")
 
 
-def test_criterion_01_protocol_invariant_suite(memory):
+def test_criterion_01_protocol_invariant_suite(memory, protocol_calls):
     """Invariants over 50 randomized mock-backend configs in under 60 s."""
     rng = random.Random(20_240_817)
     grid = list(
@@ -67,37 +67,35 @@ def test_criterion_01_protocol_invariant_suite(memory):
 
     started = time.monotonic()
     for config in configs:
+        protocol_calls.clear()
         result = run_protocol(config)
         report = result.report
 
         attempts_by_key: dict[tuple[int, int], int] = {}
-        for event in result.events:
-            if event.kind == "attempt":
-                key = (event.stage, event.instance)
-                attempts_by_key[key] = attempts_by_key.get(key, 0) + 1
-            elif event.kind == "checkpoint":
+        for call in protocol_calls:
+            if call.kind == "reflexion_loop":
+                key = (call.stage, call.instance)
+                attempts_by_key[key] = attempts_by_key.get(key, 0) + call.attempts
+            elif call.kind == "checkpoint":
                 # Checkpoint purity: a frozen probe never touches memory.
-                assert (
-                    event.payload["memory_hash_before"]
-                    == event.payload["memory_hash_after"]
-                )
+                assert call.hash_before == call.hash_after
         assert all(
             count <= config.attempts_per_stage for count in attempts_by_key.values()
         )
 
         for stage in range(1, config.stages):
-            ckpt_seqs = [
-                e.seq
-                for e in result.events
-                if e.kind == "checkpoint" and e.stage == stage
+            ckpt_ends = [
+                c.end
+                for c in protocol_calls
+                if c.kind == "checkpoint" and c.stage == stage
             ]
-            next_seqs = [
-                e.seq
-                for e in result.events
-                if e.kind == "attempt" and e.stage == stage + 1
+            next_starts = [
+                c.start
+                for c in protocol_calls
+                if c.kind == "reflexion_loop" and c.stage == stage + 1
             ]
-            if ckpt_seqs and next_seqs:
-                assert max(ckpt_seqs) < min(next_seqs)
+            if ckpt_ends and next_starts:
+                assert max(ckpt_ends) < min(next_starts)
 
         for stage_report in report.stage_reports:
             if config.condition is Condition.REFLEXION:
@@ -156,8 +154,8 @@ def test_criterion_03_trigger_semantics(memory):
             memory, 0, tau, MonitorBackend(), env=ScriptedRewardEnv(rewards)
         )
         assert outcome.status is AttemptStatus.ABORTED
-        assert outcome.snapshot.metadata.failing_step == position
-        assert outcome.snapshot.metadata.failing_reward == -1.2
+        assert outcome.snapshot.failing_step == position + 1  # 1-based, as trajectories
+        assert outcome.snapshot.failing_reward == -1.2
     announce(3, "strict < semantics exact at tau=-1.1 for -1.0/-1.1/-1.2")
 
 

@@ -35,7 +35,7 @@ from forge.memory import (
     Representation,
     Role,
 )
-from forge.reflexion import FailureSnapshot, SnapshotMeta
+from forge.reflexion import FailureSnapshot
 
 
 def clause_rule(host: int, response: str = "Restore", trigger: str = "compromised"):
@@ -164,6 +164,7 @@ def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
         episode.hosts[host] = env.HostCompromise(level=level)
     state = episode.state()
     observation = blank_observation(
+        step_index=1,
         anomalous_process=flags_for(list(levels)),
         new_file=flags_for(new_file_on if new_file_on is not None else list(levels)),
     )
@@ -173,7 +174,7 @@ def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
     return FailureSnapshot(
         trajectory=(record,),
         memory_at_failure=memory.clone(),
-        metadata=SnapshotMeta(instance=1, stage=2, attempt=1, failing_step=0, failing_reward=-1.2),
+        origin=Origin(stage=2, attempt=1, instance=1),
         env_state=state,
     )
 

@@ -25,6 +25,7 @@ base_seed: 31
 # (config key, YAML value) pairs the run verb must refuse with exit code 2.
 # The worker count is derived from the backend, so ``max_workers`` is an
 # unknown key, also as the ``max_workers: null`` of older run directories.
+# Both thresholds must be finite.
 BAD_VALUES = [
     ("graduation_enabled", "'false'"),
     ("memory_capacity", "2.9"),
@@ -32,6 +33,12 @@ BAD_VALUES = [
     ("graduation_threshold", "'-15'"),
     ("max_workers", "3"),
     ("max_workers", "null"),
+    ("failure_trigger", ".nan"),
+    ("failure_trigger", ".inf"),
+    ("failure_trigger", "-.inf"),
+    ("graduation_threshold", ".nan"),
+    ("graduation_threshold", ".inf"),
+    ("graduation_threshold", "-.inf"),
 ]
 
 
@@ -186,7 +193,15 @@ class TestAnalyzeTrigger:
         assert "config error" in err and "--tau" in err
 
     @pytest.mark.parametrize(
-        "bad_line", ["reward=0.5 restore=0", "reward=0 restore=1", "reward=-1.0 restore=7", "garbage"]
+        "bad_line",
+        [
+            "reward=0.5 restore=0",
+            "reward=0 restore=1",
+            "reward=-1.0 restore=7",
+            "garbage",
+            "reward=-1.0 restore=1 reward=-5.0",
+            "reward=-1.0 restore=1 colour=red",
+        ],
     )
     def test_bad_log_line_is_config_error_naming_its_line(self, tmp_path, capsys, bad_line):
         log_path = tmp_path / "penalties.log"
@@ -230,6 +245,14 @@ class TestSweepVerb:
         out = tmp_path / "sweep"
         code = main(["sweep", "--config", str(config), "--tau", "-1.1", "0.5", "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    def test_nan_tau_is_config_error_before_any_run(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--tau", "-1.1", "nan", "--out", str(out)])
+        assert code == 2
+        assert "failure_trigger" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_tau_is_config_error(self, tmp_path, capsys):

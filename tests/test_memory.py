@@ -16,7 +16,6 @@ from forge.memory import (
     Clause,
     InstanceMemory,
     MemoryArtifact,
-    MemoryDelta,
     MemoryProtocolError,
     Origin,
     Representation,
@@ -133,10 +132,6 @@ class TestArtifactValidation:
                 text="When host 6 is compromised, then nuke host 6.",
                 clause=Clause(host=6, response="Nuke"),
             )
-
-    def test_delta_requires_shared_origin(self):
-        with pytest.raises(ArtifactValidationError):
-            MemoryDelta(additions=(rule(stage=1), rule(stage=2)))
 
 
 class TestAppend:

@@ -63,7 +63,33 @@ BAD_VALUES = [
     ("transfer_strategy", "forge"),
     ("instances", "null"),
     ("1", "2"),  # YAML reads the key as an int
+    # Thresholds must be finite; NaN compares false and must not slip through.
+    ("failure_trigger", ".nan"),
+    ("failure_trigger", ".inf"),
+    ("failure_trigger", "-.inf"),
+    ("graduation_threshold", ".nan"),
+    ("graduation_threshold", ".inf"),
+    ("graduation_threshold", "-.inf"),
 ]
+
+
+def assert_stage_barrier(calls, stages: int) -> None:
+    """Every stage-s checkpoint ended before any stage-(s+1) ``reflexion_loop`` began."""
+    for stage in range(1, stages):
+        ckpt_ends = [c.end for c in calls if c.kind == "checkpoint" and c.stage == stage]
+        next_starts = [
+            c.start for c in calls if c.kind == "reflexion_loop" and c.stage == stage + 1
+        ]
+        if ckpt_ends and next_starts:
+            assert max(ckpt_ends) < min(next_starts)
+
+
+def assert_checkpoints_pure(calls) -> None:
+    """A frozen checkpoint never changes the memory it probes."""
+    checkpoints = [c for c in calls if c.kind == "checkpoint"]
+    assert checkpoints
+    for call in checkpoints:
+        assert call.hash_before == call.hash_after
 
 
 def ckpt(instance: int, value: float, stage: int = 1) -> CheckpointResult:
@@ -291,30 +317,30 @@ class TestRunProtocol:
             for artifact in state.memory.artifacts():
                 assert artifact.origin.instance == state.instance
 
-    def test_everyone_graduates_early_stops_attempts(self):
+    def test_everyone_graduates_early_stops_attempts(self, protocol_calls):
         result = run_protocol(
             small_config(stages=3, graduation_threshold=-10_000.0)
         )
         report = result.report
         assert all(s == 1 for s in report.graduation_stage.values())
         later_attempts = [
-            e for e in result.events if e.kind == "attempt" and e.stage > 1
+            c for c in protocol_calls if c.kind == "reflexion_loop" and c.stage > 1
         ]
         assert later_attempts == []
         for returns in report.eval_returns.values():
             assert len(returns) == 2
 
-    def test_graduation_disabled_keeps_everyone_active(self):
+    def test_graduation_disabled_keeps_everyone_active(self, protocol_calls):
         result = run_protocol(
             small_config(graduation_threshold=-10_000.0, graduation_enabled=False)
         )
         assert all(s is None for s in result.report.graduation_stage.values())
-        attempts_last_stage = [
-            e
-            for e in result.events
-            if e.kind == "attempt" and e.stage == result.report.config["stages"]
-        ]
-        assert len(attempts_last_stage) == 3 * 2  # all instances, all attempts
+        attempts_last_stage = sum(
+            c.attempts
+            for c in protocol_calls
+            if c.kind == "reflexion_loop" and c.stage == result.report.config["stages"]
+        )
+        assert attempts_last_stage == 3 * 2  # all instances, all attempts
 
     def test_post_broadcast_dynamic_memories_equal(self):
         result = run_protocol(small_config(condition=Condition.FORGE))
@@ -328,35 +354,24 @@ class TestRunProtocol:
             }
             assert len(set(active_hashes.values())) == 1
 
-    def test_stage_barrier_ordering(self):
-        result = run_protocol(small_config(stages=3))
-        for stage in (1, 2):
-            ckpt_seqs = [
-                e.seq for e in result.events if e.kind == "checkpoint" and e.stage == stage
-            ]
-            next_attempts = [
-                e.seq for e in result.events if e.kind == "attempt" and e.stage == stage + 1
-            ]
-            if ckpt_seqs and next_attempts:
-                assert max(ckpt_seqs) < min(next_attempts)
+    def test_stage_barrier_ordering(self, protocol_calls):
+        run_protocol(small_config(stages=3))
+        assert_stage_barrier(protocol_calls, stages=3)
 
-    def test_attempt_budget_respected(self):
+    def test_attempt_budget_respected(self, protocol_calls):
         config = small_config()
-        result = run_protocol(config)
+        run_protocol(config)
         by_key: dict[tuple[int, int], int] = {}
-        for event in result.events:
-            if event.kind == "attempt":
-                key = (event.stage, event.instance)
-                by_key[key] = by_key.get(key, 0) + 1
+        for call in protocol_calls:
+            if call.kind == "reflexion_loop":
+                key = (call.stage, call.instance)
+                by_key[key] = by_key.get(key, 0) + call.attempts
         assert by_key
         assert all(count <= config.attempts_per_stage for count in by_key.values())
 
-    def test_checkpoint_purity(self):
-        result = run_protocol(small_config())
-        checkpoints = [e for e in result.events if e.kind == "checkpoint"]
-        assert checkpoints
-        for event in checkpoints:
-            assert event.payload["memory_hash_before"] == event.payload["memory_hash_after"]
+    def test_checkpoint_purity(self, protocol_calls):
+        run_protocol(small_config())
+        assert_checkpoints_pure(protocol_calls)
 
     def test_determinism_of_reports_and_snapshots(self, tmp_path):
         config = small_config()
@@ -372,10 +387,12 @@ class TestRunProtocol:
     def test_outputs_pinned_across_versions(self, tmp_path):
         """SHA-256 of the report and of every memory and failure snapshot.
 
-        The snapshot bytes date from before the snapshot writers moved to
-        libyaml; the report's changed last when the config lost its
-        ``max_workers`` key. A change that alters any of these bytes must say
-        why and update them.
+        The report's bytes changed last when the config lost its
+        ``max_workers`` key. The manifest changed last when a failure
+        snapshot's ``failing_step`` became the 1-based step of its trajectory
+        line, which moved that field and the ``aborted at step=`` line of
+        every ``snapshot.yaml`` by one. A change that alters any of these
+        bytes must say why and update them.
         """
         run_protocol(small_config(representation=Representation.MIXED), run_dir=tmp_path)
         report = tmp_path / "final_report.json"
@@ -391,7 +408,7 @@ class TestRunProtocol:
         )
         assert len(snapshots) == 3 * 2 * 6 + 12  # memory files per stage, failure snapshots
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == (
-            "695a142e56d54c63e8410dd56b5f24f80d839b1d356fb604bcd0eef37092c9aa"
+            "07b988fda8dc1255729e4f42d7165c6456238ba6292c99dae9e010115ec373cb"
         )
 
     @pytest.mark.parametrize(
@@ -400,17 +417,17 @@ class TestRunProtocol:
             (
                 Representation.RULES,
                 "5acc108e2aed87033a4933a2336cced93e3e77e291583d8518ea205dff7290b9",
-                "6aeae86a327740e12fcd5927d50c847c90cdcbe0dead4e7374a18441da35af76",
+                "eeec142e5514e12a6e237086eb540b57ba6b6037a51c60cc7160475c83cc02f4",
             ),
             (
                 Representation.EXAMPLES,
                 "19f4c9000cc8869202c9188333e58dd214ea058a42d8ec84bf1bccebe7ca453e",
-                "b2a5d3827e977ed465943ea8d0b2dee96ae5da193e1dde008a85f5d4ab2e20ae",
+                "b7419cc9d66befbcb1edf8f10ac2622ec0d5a34077b19885511e0ad756687f78",
             ),
             (
                 Representation.MIXED,
                 "5a6c516573004653c089a9721d0c2752c2c7539693454b7d6a4ef36125af9a8c",
-                "7dc79df68c52f7f15a5d708ad05b2d99a6f77f0e25f2f58db8f3d6853f4d9c39",
+                "969d8c2d15aec5cad81dab86b5a369d95c389f2471db809bd85715b3e3006019",
             ),
         ],
     )
@@ -421,10 +438,11 @@ class TestRunProtocol:
 
         A scripted run makes no completions, so ``token_usage.log`` is empty
         and the whole directory, trajectories included, is deterministic. The
-        values were re-pinned when the config lost its ``max_workers`` key,
-        which left every file but ``config.yaml`` and ``final_report.json``
-        as it was. A change that alters any of these bytes must say why and
-        update them.
+        report digests were re-pinned when the config lost its
+        ``max_workers`` key. The manifest digests were re-pinned when a
+        failure snapshot's ``failing_step`` became the 1-based step of its
+        trajectory line, which changed only the ``snapshot.yaml`` files. A
+        change that alters any of these bytes must say why and update them.
         """
         config = small_config(backend="scripted", representation=representation)
         run_protocol(config, run_dir=tmp_path)
@@ -666,7 +684,7 @@ class TestRunDirectoryWrites:
         serialize_snapshot = agents.serialize_snapshot
 
         def counting(snapshot):
-            calls.append(snapshot.metadata)
+            calls.append(snapshot.origin)
             return serialize_snapshot(snapshot)
 
         monkeypatch.setattr(agents, "serialize_snapshot", counting)
@@ -833,6 +851,16 @@ class TestStageWorkers:
     def test_http_connector_uses_several_workers(self, monkeypatch):
         peaks, _ = self._http_run(monkeypatch)
         assert peaks["adaptation"] > 1
+
+    def test_barrier_and_purity_hold_on_the_http_pool(self, monkeypatch, protocol_calls):
+        peaks = _record_decide_peaks(monkeypatch, LLMBackend)
+        connector = HttpConnector(base_url="http://provider.invalid", transport=_delayed_mock_transport)
+        config = small_config(instances=3, stages=3, attempts_per_stage=1, eval_episodes_per_instance=1)
+        run_protocol(config, connector=connector)
+        assert peaks["adaptation"] > 1
+        assert {c.stage for c in protocol_calls if c.kind == "reflexion_loop"} == {1, 2, 3}
+        assert_stage_barrier(protocol_calls, stages=3)
+        assert_checkpoints_pure(protocol_calls)
 
     def test_http_connector_evaluates_on_several_workers(self, monkeypatch):
         peaks, report = self._http_run(monkeypatch)

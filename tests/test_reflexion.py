@@ -6,9 +6,10 @@ import pytest
 
 from conftest import MonitorBackend, ScriptedRewardEnv
 from forge import cage_lite as env
+from forge import reflexion
 from forge.agents import ScriptedBackend, default_memory
 from forge.llm_connector import ConnectorError
-from forge.memory import ArtifactKind, Representation, Role
+from forge.memory import ArtifactKind, Origin, Representation, Role
 from forge.reflexion import (
     AttemptStatus,
     reflexion_loop,
@@ -39,21 +40,21 @@ class TestTriggerSemantics:
         )
         assert outcome.status is AttemptStatus.ABORTED
         assert outcome.snapshot is not None
-        meta = outcome.snapshot.metadata
-        assert meta.failing_step == 2
-        assert meta.failing_reward == -1.2
-        assert (meta.instance, meta.stage, meta.attempt) == (4, 2, 3)
+        snapshot = outcome.snapshot
+        assert snapshot.failing_step == 3  # the trajectory's step=03 line
+        assert snapshot.failing_reward == -1.2
+        assert snapshot.origin == Origin(stage=2, attempt=3, instance=4)
 
     def test_abort_is_immediate(self, memory):
         rewards = [-5.0, -5.0, -5.0]
         outcome = run_attempt(memory, 0, -1.1, MonitorBackend(), env=ScriptedRewardEnv(rewards))
         assert len(outcome.snapshot.trajectory) == 1
-        assert outcome.snapshot.metadata.failing_step == 0
+        assert outcome.snapshot.failing_step == 1
 
     def test_trajectory_ends_at_failing_step(self, memory):
         rewards = [0.0, 0.0, -2.0, 0.0]
         outcome = run_attempt(memory, 0, -1.1, MonitorBackend(), env=ScriptedRewardEnv(rewards))
-        assert len(outcome.snapshot.trajectory) == outcome.snapshot.metadata.failing_step + 1
+        assert len(outcome.snapshot.trajectory) == outcome.snapshot.failing_step
         assert outcome.episode_return == -2.0
 
     def test_nonnegative_trigger_rejected(self, memory):
@@ -99,10 +100,11 @@ class TestReflexionLoop:
         assert [s.status for s in summaries] == ["completed"] * 3
         assert memory.content_hash() == before
 
-    def test_aborted_attempt_adds_exactly_one_rule(self, memory):
+    def test_aborted_attempt_adds_exactly_one_rule(self, memory, monkeypatch):
         backend = ScriptedBackend(representation=Representation.RULES)
-        growth = []
-        reflexion_loop(
+        base_seed = yylchash_seed()
+        sizes_after = record_sizes_after_attempts(monkeypatch, memory)
+        summaries = reflexion_loop(
             memory,
             instance=1,
             stage=1,
@@ -110,9 +112,9 @@ class TestReflexionLoop:
             tau=-1.1,
             representation=Representation.RULES,
             backend=backend,
-            base_seed=yylchash_seed(),
-            on_attempt=lambda s: growth.append((s.status, len(memory.artifacts()))),
+            base_seed=base_seed,
         )
+        growth = list(zip([s.status for s in summaries], sizes_after(), strict=True))
         aborted = [g for g in growth if g[0] == "aborted"]
         assert aborted, "expected at least one aborted attempt on the real environment"
         first_abort_index = next(i for i, g in enumerate(growth) if g[0] == "aborted")
@@ -176,8 +178,8 @@ class TestReflexionLoop:
         assert memory.artifacts(), "expected learning to occur"
         assert all(a.kind is ArtifactKind.EXAMPLE for a in memory.artifacts())
 
-    def test_dynamic_memory_growth_is_monotone_within_stage(self, memory):
-        sizes = []
+    def test_dynamic_memory_growth_is_monotone_within_stage(self, memory, monkeypatch):
+        sizes_after = record_sizes_after_attempts(monkeypatch, memory)
         reflexion_loop(
             memory,
             instance=1,
@@ -187,8 +189,9 @@ class TestReflexionLoop:
             representation=Representation.RULES,
             backend=ScriptedBackend(representation=Representation.RULES),
             base_seed=3,
-            on_attempt=lambda s: sizes.append(len(memory.artifacts())),
         )
+        sizes = sizes_after()
+        assert len(sizes) == 3
         assert sizes == sorted(sizes)
 
     def test_workspace_files_written(self, memory, tmp_path):
@@ -209,6 +212,24 @@ class TestReflexionLoop:
         trajectory = (tmp_path / "attempt_01" / "trajectory.log").read_text()
         assert trajectory.startswith("step=01 action=")
         assert snapshots, "expected at least one abort snapshot on this seed"
+
+
+def record_sizes_after_attempts(monkeypatch, memory):
+    """Record the artifact count of ``memory`` after each attempt of a ``reflexion_loop``.
+
+    Each ``run_attempt`` call notes the count it starts from, which is the
+    count after the attempt before it. The returned function adds the final
+    count and gives one count per attempt.
+    """
+    at_start = []
+    run_attempt = reflexion.run_attempt
+
+    def recording(memory_arg, *args, **kwargs):
+        at_start.append(len(memory.artifacts()))
+        return run_attempt(memory_arg, *args, **kwargs)
+
+    monkeypatch.setattr(reflexion, "run_attempt", recording)
+    return lambda: at_start[1:] + [len(memory.artifacts())]
 
 
 def yylchash_seed() -> int:
@@ -236,8 +257,6 @@ class TestLearnedClausePreventsFailure:
         attempt two on the same seed should usually run trigger-free to
         completion: the clause remediates the culprit before any step falls
         below the trigger again."""
-        from forge.memory import apply_delta
-
         backend = ScriptedBackend(representation=Representation.RULES)
         eligible = 0
         suppressed = 0
@@ -249,13 +268,14 @@ class TestLearnedClausePreventsFailure:
             )
             if first.status is not AttemptStatus.ABORTED:
                 continue
-            delta = synthesize(first.snapshot, Representation.RULES, backend)
-            if not delta.additions or delta.additions[0].clause is None:
+            artifacts = synthesize(first.snapshot, Representation.RULES, backend)
+            if not artifacts or artifacts[0].clause is None:
                 continue
-            if delta.additions[0].clause.response != "Restore":
+            if artifacts[0].clause.response != "Restore":
                 continue
             eligible += 1
-            apply_delta(memory, delta)
+            for artifact in artifacts:
+                memory.append(artifact)
             second = run_attempt(
                 memory, seed, -1.1, backend, instance=1, stage=1, attempt=1
             )
@@ -274,9 +294,9 @@ class TestSynthesizeDispatch:
         )
         if outcome.status is not AttemptStatus.ABORTED:
             pytest.skip("seed did not abort")
-        delta = synthesize(outcome.snapshot, Representation.RULES, ScriptedBackend())
-        assert all(a.kind is ArtifactKind.RULE for a in delta.additions)
-        assert all(a.role is Role.PLANNER for a in delta.additions)
+        artifacts = synthesize(outcome.snapshot, Representation.RULES, ScriptedBackend())
+        assert all(a.kind is ArtifactKind.RULE for a in artifacts)
+        assert all(a.role is Role.PLANNER for a in artifacts)
 
 
 @pytest.fixture
@@ -333,6 +353,6 @@ class TestEpisodeSteppedInPlace:
             for record in outcome.trajectory:
                 observation, reward = env.step(episode, record.action)
                 assert (observation, reward) == (record.observation, record.reward)
-            assert len(outcome.trajectory) == snapshot.metadata.failing_step + 1
+            assert len(outcome.trajectory) == snapshot.failing_step
             assert snapshot.env_state == episode.state()
         assert aborted > 0
