@@ -27,6 +27,7 @@ from .cage_lite import (
     Observation,
     format_step_record,
     heuristic_policy,
+    lookup_action,
     subnet_of,
 )
 from .llm_connector import ChatMessage, ChatRequest, ChatResponse, RequestMeta, TokenLedger
@@ -189,7 +190,7 @@ def clause_matches(clause: Clause, observation: Observation, confirmed_host: int
 
 
 def clause_action(clause: Clause) -> BlueAction:
-    return BlueAction(ActionKind(clause.response), clause.action_target())
+    return lookup_action(clause.response, clause.action_target())
 
 
 def make_artifact_id(kind: ArtifactKind, origin: Origin, seq: int) -> str:
@@ -253,6 +254,8 @@ class ScriptedBackend:
 
     def __init__(self, representation: Representation = Representation.MIXED):
         self.representation = representation
+        # The artifact kinds ``representation`` admits, worked out once.
+        self._admitted = tuple(kind for kind in ArtifactKind if representation.admits(kind))
         # Scripted decisions make no completions; this stays empty.
         self.ledger = TokenLedger()
 
@@ -265,14 +268,14 @@ class ScriptedBackend:
         ctx: CallContext | None = None,
     ) -> BlueAction:
         confirmed = observation.confirmed_host()
-        admits = self.representation.admits
+        admitted = self._admitted
         # Same order as ``memory.artifacts(self.representation)``, without the list.
         for role in ACTING_ROLES:
             for artifact in memory.dynamic[role]:
                 clause = artifact.clause
                 if (
                     clause is not None
-                    and admits(artifact.kind)
+                    and artifact.kind in admitted
                     and clause_matches(clause, observation, confirmed)
                 ):
                     return clause_action(clause)

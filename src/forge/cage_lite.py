@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import calibration as cal
 from .seeding import derive_seed
@@ -78,14 +78,25 @@ class HostCompromise:
     decoy_present: bool = False
 
 
-# Every HostCompromise value the simulator builds comes from this table, so a
-# step allocates no host objects.
-_HOST_VALUES = {
-    (level, decoy): HostCompromise(level, decoy)
-    for level in CompromiseLevel
-    for decoy in (False, True)
-}
-_CLEAN = _HOST_VALUES[CompromiseLevel.CLEAN, False]
+# Every HostCompromise value the simulator builds comes from this table,
+# indexed ``[level][decoy]``, so a step allocates no host objects and hashes
+# no enum.
+_HOST_VALUES: tuple[tuple[HostCompromise, HostCompromise], ...] = tuple(
+    (HostCompromise(level, False), HostCompromise(level, True)) for level in CompromiseLevel
+)
+_CLEAN = _HOST_VALUES[CompromiseLevel.CLEAN][False]
+
+
+def _subnet_slice(hosts: tuple[int, ...]) -> slice:
+    if hosts != tuple(range(hosts[0], hosts[-1] + 1)):
+        raise ValueError(f"subnet hosts must be contiguous: {hosts}")
+    return slice(hosts[0], hosts[-1] + 1)
+
+
+# Per-subnet slices of the host list, for ``_reward_tenths``.
+_USER_SLICE = _subnet_slice(cal.USER_HOSTS)
+_ENTERPRISE_SLICE = _subnet_slice(cal.ENTERPRISE_HOSTS)
+_OPERATIONAL_SLICE = _subnet_slice(cal.OPERATIONAL_HOSTS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,13 +127,13 @@ class BlueAction:
         return f"{self.kind.value} {self.target}"
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(NamedTuple):
     """Noisy per-host indicator flags, plus the result of an Analyse action.
 
     ``analysed_host`` is set on the step after an Analyse; ``analysed_level``
     is the true compromise level of that host, or None when the inspection
-    was inconclusive.
+    was inconclusive. A named tuple: immutable, and cheaper to build per step
+    than a frozen dataclass.
     """
 
     anomalous_process: tuple[bool, ...]
@@ -151,8 +162,7 @@ class Observation:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     action: BlueAction
     reward: float
     observation: Observation
@@ -233,17 +243,18 @@ def _advance_attacker(
     slot, level = _MILESTONES[progress]
     target = chain[slot]
     if hosts[target].decoy_present:
-        hosts[target] = _HOST_VALUES[hosts[target].level, False]
+        hosts[target] = _HOST_VALUES[hosts[target].level][False]
         return
     success = cal.OP_SERVER_ATTACK_SUCCESS_PROB if slot == 2 else cal.ATTACK_SUCCESS_PROB
     if rng.random() < success:
-        hosts[target] = _HOST_VALUES[level, False]
+        hosts[target] = _HOST_VALUES[level][False]
 
 
 def _reward_tenths(hosts: Sequence[HostCompromise], action_kind: ActionKind) -> int:
-    user = max([hosts[h].level for h in cal.USER_HOSTS])
-    enterprise = max([hosts[h].level for h in cal.ENTERPRISE_HOSTS])
-    operational = max([hosts[h].level for h in cal.OPERATIONAL_HOSTS])
+    levels = [h.level for h in hosts]
+    user = max(levels[_USER_SLICE])
+    enterprise = max(levels[_ENTERPRISE_SLICE])
+    operational = max(levels[_OPERATIONAL_SLICE])
     server = max(enterprise, operational)
     user_compromised = user >= CompromiseLevel.USER_ACCESS
 
@@ -289,25 +300,32 @@ def _observe(
     false_negative = cal.OBS_FALSE_NEGATIVE_RATE
     false_positive = cal.OBS_FALSE_POSITIVE_RATE
     user_access, root_access = CompromiseLevel.USER_ACCESS, CompromiseLevel.ROOT_ACCESS
-    flags: list[bool] = []
+    anomalous: list[bool] = []
+    suspicious: list[bool] = []
+    new_file: list[bool] = []
+    add_anomalous, add_suspicious, add_new_file = (
+        anomalous.append, suspicious.append, new_file.append
+    )
     for host in hosts:
         level = host.level
-        # A tuple display evaluates left to right, so the draws stay in order.
         if level >= user_access:
-            flags += (
-                rand() >= false_negative,
-                rand() >= false_negative,
-                rand() >= false_negative if level == root_access else rand() < false_positive,
-            )
+            add_anomalous(rand() >= false_negative)
+            add_suspicious(rand() >= false_negative)
+            if level == root_access:
+                add_new_file(rand() >= false_negative)
+            else:
+                add_new_file(rand() < false_positive)
         else:
-            flags += (rand() < false_positive, rand() < false_positive, rand() < false_positive)
+            add_anomalous(rand() < false_positive)
+            add_suspicious(rand() < false_positive)
+            add_new_file(rand() < false_positive)
     return Observation(
-        anomalous_process=tuple(flags[0::3]),
-        suspicious_connection=tuple(flags[1::3]),
-        new_file=tuple(flags[2::3]),
-        step_index=step_index,
-        analysed_host=analysed_host,
-        analysed_level=analysed_level,
+        tuple(anomalous),
+        tuple(suspicious),
+        tuple(new_file),
+        step_index,
+        analysed_host,
+        analysed_level,
     )
 
 
@@ -377,14 +395,14 @@ def step(episode: Episode, action: BlueAction) -> tuple[Observation, float]:
     elif kind is ActionKind.REMOVE:
         host = hosts[target]
         if host.level == CompromiseLevel.USER_ACCESS and rng.random() < cal.REMOVE_SUCCESS_PROB:
-            hosts[target] = _HOST_VALUES[CompromiseLevel.CLEAN, host.decoy_present]
+            hosts[target] = _HOST_VALUES[CompromiseLevel.CLEAN][host.decoy_present]
     elif kind is ActionKind.RESTORE:
         # Reimaging the host the attacker operates from costs it this
         # step's operation on top of the lost milestones.
         attacker_stunned = target == _foothold(hosts, episode.chain)
         hosts[target] = _CLEAN
     elif kind is ActionKind.DECOY:
-        hosts[target] = _HOST_VALUES[hosts[target].level, True]
+        hosts[target] = _HOST_VALUES[hosts[target].level][True]
 
     if not attacker_stunned:
         _advance_attacker(hosts, episode.chain, rng)
@@ -392,11 +410,7 @@ def step(episode: Episode, action: BlueAction) -> tuple[Observation, float]:
     episode.step_index += 1
     reward_tenths = _reward_tenths(hosts, kind)
     observation = _observe(
-        hosts,
-        rng,
-        step_index=episode.step_index,
-        analysed_host=analysed_host,
-        analysed_level=hosts[target].level if reveal else None,
+        hosts, rng, episode.step_index, analysed_host, hosts[target].level if reveal else None
     )
     return observation, reward_tenths / 10.0
 
@@ -423,9 +437,26 @@ _ALL_ACTIONS: tuple[BlueAction, ...] = (BlueAction(ActionKind.MONITOR),) + tuple
     for host in range(cal.HOST_COUNT)
 )
 
+# The valid actions by (kind name, target), built once: policies hand out
+# these values instead of building and validating a new action per step.
+_ACTIONS: dict[tuple[str, int | None], BlueAction] = {
+    (action.kind.value, action.target): action for action in _ALL_ACTIONS
+}
+
+
+def lookup_action(kind: str, target: int | None = None) -> BlueAction:
+    """The action ``kind target`` from the table of valid actions.
+
+    A pair not in the table is built as a :class:`BlueAction`, so it is
+    validated as before: ``InvalidActionError`` for a bad target, and
+    ``ValueError`` for an unknown kind.
+    """
+    action = _ACTIONS.get((kind, target))
+    return action if action is not None else BlueAction(ActionKind(kind), target)
+
 
 def sleep_policy(observation: Observation, rng: random.Random) -> BlueAction:
-    return BlueAction(ActionKind.MONITOR)
+    return lookup_action("Monitor")
 
 
 def random_policy(observation: Observation, rng: random.Random) -> BlueAction:
@@ -441,11 +472,11 @@ def heuristic_policy(observation: Observation, rng: random.Random | None) -> Blu
     """
     confirmed = observation.confirmed_host()
     if confirmed is not None:
-        return BlueAction(ActionKind.RESTORE, confirmed)
+        return lookup_action("Restore", confirmed)
     flagged = observation.flagged_hosts()
     if flagged:
-        return BlueAction(ActionKind.ANALYSE, flagged[0])
-    return BlueAction(ActionKind.MONITOR)
+        return lookup_action("Analyse", flagged[0])
+    return lookup_action("Monitor")
 
 
 BASELINE_POLICIES: dict[str, Policy] = {
@@ -462,7 +493,7 @@ def run_policy_episode(policy: Policy, seed: int) -> list[StepRecord]:
     while not episode.done:
         action = policy(observation, policy_rng)
         observation, reward = step(episode, action)
-        records.append(StepRecord(action=action, reward=reward, observation=observation))
+        records.append(StepRecord(action, reward, observation))
     return records
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -81,8 +82,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_trigger(args: argparse.Namespace) -> int:
     for tau in args.tau:
-        if not tau < 0:
-            raise ConfigError(f"--tau must be negative, got {tau}")
+        if not (math.isfinite(tau) and tau < 0):
+            raise ConfigError(f"--tau must be finite and negative, got {tau}")
     if args.log is None:
         entries = make_reference_penalty_log()
     else:

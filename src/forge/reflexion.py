@@ -119,7 +119,7 @@ def run_attempt(
         except ConnectorError as exc:
             raise AttemptError(f"backend failed during attempt: {exc}") from exc
         observation, reward = env.step(episode, action)
-        records.append(StepRecord(action=action, reward=reward, observation=observation))
+        records.append(StepRecord(action, reward, observation))
         if tau is not None and reward < tau:
             trajectory = tuple(records)
             snapshot = FailureSnapshot(

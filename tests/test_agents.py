@@ -16,6 +16,7 @@ from forge.agents import (
     LLMBackend,
     RoleConfigError,
     ScriptedBackend,
+    clause_action,
     default_memory,
     default_role_configs,
     mock_responder,
@@ -24,10 +25,12 @@ from forge.agents import (
     parse_rule_clause,
     serialize_observation,
 )
-from forge.cage_lite import ActionKind, BlueAction, CompromiseLevel
+from forge.cage_lite import ActionKind, BlueAction, CompromiseLevel, InvalidActionError
 from forge.llm_connector import ChatMessage, ChatRequest, MockConnector
 from forge.memory import (
+    ACTING_ROLES,
     ACTION_TABLE_MARKER,
+    VALID_CLAUSE_RESPONSES,
     ArtifactKind,
     Clause,
     MemoryArtifact,
@@ -35,7 +38,7 @@ from forge.memory import (
     Representation,
     Role,
 )
-from forge.reflexion import FailureSnapshot
+from forge.reflexion import AttemptStatus, FailureSnapshot, run_attempt
 
 
 def clause_rule(host: int, response: str = "Restore", trigger: str = "compromised"):
@@ -156,6 +159,85 @@ class TestScriptedDecide:
             memory.append(clause_rule(host))
         decision = ScriptedBackend(representation).decide(observation, memory)
         assert decision == env.heuristic_policy(observation, None)
+
+
+class TestScriptedActionTable:
+    """Scripted decisions hand out shared actions, validated and in role order."""
+
+    @pytest.mark.parametrize("response", VALID_CLAUSE_RESPONSES)
+    def test_clause_actions_equal_new_actions(self, response):
+        kind = ActionKind(response)
+        for host in range(13):
+            expected = BlueAction(kind) if kind is ActionKind.MONITOR else BlueAction(kind, host)
+            assert clause_action(Clause(host=host, response=response)) == expected
+            assert clause_action(Clause(host=0, response=response, target=host)) == expected
+
+    def test_out_of_range_clause_target_still_raises(self, memory):
+        memory.append(
+            MemoryArtifact(
+                kind=ArtifactKind.RULE,
+                role=Role.PLANNER,
+                text="When host 3 is compromised, then restore host 13.",
+                clause=Clause(host=3, response="Restore", target=13),
+            )
+        )
+        observation = blank_observation(anomalous_process=flags_for([3]))
+        with pytest.raises(InvalidActionError):
+            ScriptedBackend().decide(observation, memory)
+
+    def test_roles_are_walked_in_acting_order_whatever_the_dict_order(self):
+        # Each role holds a clause on host 3 with its own response, so the
+        # decision names the role that was walked first.
+        responses = {Role.PLANNER: "Restore", Role.ANALYST: "Remove", Role.ACTION_CHOOSER: "Decoy"}
+        artifacts = {
+            role: [
+                MemoryArtifact(
+                    kind=ArtifactKind.RULE,
+                    role=role,
+                    text=f"When host 3 is compromised, then {response.lower()} host 3.",
+                    clause=Clause(host=3, response=response),
+                )
+            ]
+            for role, response in responses.items()
+        }
+        observations = [
+            blank_observation(anomalous_process=flags_for([3])),
+            blank_observation(new_file=flags_for([3, 5])),
+            blank_observation(suspicious_connection=flags_for([5])),
+            blank_observation(),
+        ]
+        backend = ScriptedBackend()
+        in_order = default_memory()
+        in_order.dynamic = {role: list(artifacts[role]) for role in ACTING_ROLES}
+        expected = [backend.decide(o, in_order) for o in observations]
+        assert expected[:2] == [BlueAction(ActionKind.RESTORE, 3)] * 2
+        for roles in itertools.permutations(ACTING_ROLES):
+            shuffled = default_memory()
+            shuffled.dynamic = {role: list(artifacts[role]) for role in roles}
+            assert [backend.decide(o, shuffled) for o in observations] == expected
+            # A bucket of a non-acting role is never read.
+            shuffled.dynamic[Role.REFLECTOR] = []
+            assert [backend.decide(o, shuffled) for o in observations] == expected
+
+    def test_a_scripted_attempt_builds_no_action(self, monkeypatch, memory):
+        """Count-based guard: every action of a scripted attempt comes from the table."""
+        hosts = (6, 10, 12)
+        for host in hosts:
+            memory.append(clause_rule(host))
+        clause_actions = {BlueAction(ActionKind.RESTORE, host) for host in hosts}
+        built = 0
+        post_init = BlueAction.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(BlueAction, "__post_init__", counting)
+        outcome = run_attempt(memory, 11, None, ScriptedBackend())
+        assert built == 0
+        assert outcome.status is AttemptStatus.COMPLETED
+        assert clause_actions & {r.action for r in outcome.trajectory}, "no clause fired"
 
 
 def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):

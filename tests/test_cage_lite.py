@@ -192,6 +192,63 @@ class TestRewardRule:
         assert env._reward_tenths(hosts, kind) == reference_reward_tenths(hosts, kind)
 
 
+def reference_observe(hosts, rng, step_index, analysed_host=None, analysed_level=None):
+    """The observation as one interleaved flag list, process, connection and
+    file per host, sliced three ways: the loop of earlier releases."""
+    rand = rng.random
+    flags: list[bool] = []
+    for host in hosts:
+        level = host.level
+        if level >= CompromiseLevel.USER_ACCESS:
+            flags += (
+                rand() >= cal.OBS_FALSE_NEGATIVE_RATE,
+                rand() >= cal.OBS_FALSE_NEGATIVE_RATE,
+                rand() >= cal.OBS_FALSE_NEGATIVE_RATE
+                if level == CompromiseLevel.ROOT_ACCESS
+                else rand() < cal.OBS_FALSE_POSITIVE_RATE,
+            )
+        else:
+            flags += (
+                rand() < cal.OBS_FALSE_POSITIVE_RATE,
+                rand() < cal.OBS_FALSE_POSITIVE_RATE,
+                rand() < cal.OBS_FALSE_POSITIVE_RATE,
+            )
+    return env.Observation(
+        anomalous_process=tuple(flags[0::3]),
+        suspicious_connection=tuple(flags[1::3]),
+        new_file=tuple(flags[2::3]),
+        step_index=step_index,
+        analysed_host=analysed_host,
+        analysed_level=analysed_level,
+    )
+
+
+class TestObserveDrawOrder:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(CompromiseLevel), st.booleans()),
+            min_size=cal.HOST_COUNT,
+            max_size=cal.HOST_COUNT,
+        ),
+        st.integers(min_value=0, max_value=2**64),
+        st.integers(0, cal.EPISODE_LENGTH),
+        st.none() | st.integers(0, cal.HOST_COUNT - 1),
+        st.none() | st.sampled_from(CompromiseLevel),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_and_leaves_the_same_generator_state(
+        self, levels, seed, step_index, analysed_host, analysed_level
+    ):
+        hosts = [HostCompromise(level, decoy) for level, decoy in levels]
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        observation = env._observe(hosts, rng, step_index, analysed_host, analysed_level)
+        expected = reference_observe(
+            hosts, reference_rng, step_index, analysed_host, analysed_level
+        )
+        assert observation == expected
+        assert rng.getstate() == reference_rng.getstate()
+
+
 class TestAttacker:
     def test_discovery_advances_to_access_on_successful_scan(self):
         advanced = 0
@@ -376,6 +433,45 @@ class TestRandomStream:
         assert digest.hexdigest() == (
             "2e9295c399772da3120975bcc7b719a70626ae39ee1983e0da7e181ff2cdb8f1"
         )
+
+
+class TestPerStepValues:
+    """The values a step hands out are immutable, and actions come from one table."""
+
+    def test_observation_and_step_record_fields_cannot_be_assigned(self):
+        _, observation = env.begin(3)
+        record = env.StepRecord(BlueAction(ActionKind.MONITOR), 0.0, observation)
+        with pytest.raises(AttributeError):
+            observation.step_index = 5
+        with pytest.raises(AttributeError):
+            observation.analysed_host = 1
+        with pytest.raises(AttributeError):
+            record.reward = -1.0
+        with pytest.raises(AttributeError):
+            record.observation = observation
+
+    @pytest.mark.parametrize("host", range(cal.HOST_COUNT))
+    def test_heuristic_actions_equal_new_actions(self, host):
+        falses = (False,) * cal.HOST_COUNT
+        flagged = tuple(h == host for h in range(cal.HOST_COUNT))
+        confirmed = env.Observation(falses, falses, falses, 1, host, CompromiseLevel.ROOT_ACCESS)
+        analysed = env.Observation(falses, flagged, falses, 1)
+        quiet = env.Observation(falses, falses, falses, 1)
+        assert env.heuristic_policy(confirmed, None) == BlueAction(ActionKind.RESTORE, host)
+        assert env.heuristic_policy(analysed, None) == BlueAction(ActionKind.ANALYSE, host)
+        assert env.heuristic_policy(quiet, None) == BlueAction(ActionKind.MONITOR)
+
+    def test_lookup_action_covers_every_valid_action_and_validates_the_rest(self):
+        for kind in ActionKind:
+            targets = [None] if kind is ActionKind.MONITOR else range(cal.HOST_COUNT)
+            for target in targets:
+                assert env.lookup_action(kind.value, target) == BlueAction(kind, target)
+        with pytest.raises(InvalidActionError):
+            env.lookup_action("Restore", cal.HOST_COUNT)
+        with pytest.raises(InvalidActionError):
+            env.lookup_action("Monitor", 3)
+        with pytest.raises(ValueError):
+            env.lookup_action("Reboot", 3)
 
 
 class TestEpisode:

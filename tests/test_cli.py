@@ -186,9 +186,18 @@ class TestAnalyzeTrigger:
     def test_missing_log_is_config_error(self, tmp_path):
         assert main(["analyze-trigger", "--log", str(tmp_path / "no.log"), "--tau", "-1.1"]) == 2
 
-    @pytest.mark.parametrize("tau", ["0.5", "0", "nan"])
-    def test_non_negative_tau_is_config_error(self, capsys, tau):
-        assert main(["analyze-trigger", "--tau", "-1.1", tau]) == 2
+    @pytest.mark.parametrize(
+        "taus",
+        [
+            pytest.param(["--tau", "-1.1", "0.5"], id="0.5"),
+            pytest.param(["--tau", "-1.1", "0"], id="0"),
+            pytest.param(["--tau", "-1.1", "nan"], id="nan"),
+            # "--tau=" lets argparse read "-inf" as a value, not as an option.
+            pytest.param(["--tau=-inf"], id="-inf"),
+        ],
+    )
+    def test_non_negative_tau_is_config_error(self, capsys, taus):
+        assert main(["analyze-trigger", *taus]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "--tau" in err
 
