@@ -3,8 +3,8 @@
 The mock answers each request with a pure function of it, so equal requests
 get equal replies with no cache or recorded fixtures. Every completion, real
 or mocked, reports token usage; the shared :class:`TokenLedger` is the single
-source of truth for token accounting and feeds both the append-only usage log
-and the run report totals.
+source of truth for token accounting and feeds both the usage log and the
+run report totals.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -112,10 +113,12 @@ class TokenLogEntry:
 
 
 class TokenLedger:
-    """Thread-safe append-only token accounting.
+    """Thread-safe token accounting.
 
-    Beside the entries it keeps running ``[prompt, completion]`` sums per
-    ``(phase, instance)``, so :meth:`totals` adds up a few buckets instead of
+    Entries are appended as calls complete; :meth:`sort_by_instance` puts
+    the ones a pool of jobs just added back in instance order. Beside the
+    entries it keeps running ``[prompt, completion]`` sums per ``(phase,
+    instance)``, so :meth:`totals` adds up a few buckets instead of
     rescanning every entry.
     """
 
@@ -143,9 +146,22 @@ class TokenLedger:
         with self._lock:
             self._add(entry)
 
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
     def entries(self) -> list[TokenLogEntry]:
         with self._lock:
             return list(self._entries)
+
+    def sort_by_instance(self, start: int = 0) -> None:
+        """Stable-sort the entries from index ``start`` on by instance.
+
+        Each instance's entries keep their order; the running sums do not
+        depend on the order, so they stay as they are.
+        """
+        with self._lock:
+            self._entries[start:] = sorted(self._entries[start:], key=attrgetter("instance"))
 
     def totals(self, phase: str | None = None, instance: int | None = None) -> TokenUsage:
         prompt = completion = 0

@@ -19,6 +19,8 @@ from pathlib import Path
 import yaml
 from yaml import CSafeDumper
 
+from .calibration import HOST_COUNT
+
 
 class Role(Enum):
     PLANNER = "planner"
@@ -89,6 +91,20 @@ class Clause:
     response: str = "Restore"
     target: int | None = None
 
+    def validate(self) -> None:
+        if self.response not in VALID_CLAUSE_RESPONSES:
+            raise ArtifactValidationError(f"unknown clause response: {self.response}")
+        # A host index outside the simulator's range would read another
+        # host's flags (a negative index) or none at all.
+        if not 0 <= self.host < HOST_COUNT:
+            raise ArtifactValidationError(
+                f"clause host must be in 0..{HOST_COUNT - 1}, got {self.host}"
+            )
+        if self.target is not None and not 0 <= self.target < HOST_COUNT:
+            raise ArtifactValidationError(
+                f"clause target must be in 0..{HOST_COUNT - 1}, got {self.target}"
+            )
+
     def action_target(self) -> int | None:
         if self.response == "Monitor":
             return None
@@ -144,8 +160,8 @@ class MemoryArtifact:
                 raise ArtifactValidationError(
                     f"example text missing interaction markers: {', '.join(missing)}"
                 )
-        if self.clause is not None and self.clause.response not in VALID_CLAUSE_RESPONSES:
-            raise ArtifactValidationError(f"unknown clause response: {self.clause.response}")
+        if self.clause is not None:
+            self.clause.validate()
 
     def to_dict(self) -> dict:
         return {

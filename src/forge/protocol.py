@@ -5,7 +5,9 @@ A single coordinator owns every cross-instance step (graduation, champion
 selection, broadcast); an instance's job only ever touches its own instance's
 state, and a stage barrier guarantees no next-stage attempt starts before
 every active instance has checkpointed. Offline backends run every job on
-the calling thread; only an :class:`HttpConnector` gets a thread pool.
+the calling thread; only an :class:`HttpConnector` gets a thread pool, with
+one worker per active instance up to :data:`WORKER_CAP`, so no stage waits
+on a second round of jobs.
 """
 
 from __future__ import annotations
@@ -425,15 +427,23 @@ def _worker(
     return summaries, score
 
 
+# Most threads in one pool: above any shipped population, it only bounds huge ones.
+WORKER_CAP = 32
+
+
 def _stage_workers(config: ProtocolConfig, backend) -> int:
     """Workers for a stage's jobs and for the final evaluation's.
 
     Threads only pay off while calls wait on the network, i.e. when the
-    backend talks through an :class:`HttpConnector`. Offline backends are pure
-    CPU, where extra threads just contend for the GIL, so they get one worker.
+    backend talks through an :class:`HttpConnector`. There every instance
+    gets a worker of its own, up to :data:`WORKER_CAP`: a stage's jobs are
+    independent chains of calls joined only at the barrier, so a pool
+    smaller than the population leaves the barrier waiting on a second
+    round of jobs. Offline backends are pure CPU, where extra threads just
+    contend for the GIL, so they get one worker.
     """
     if isinstance(getattr(backend, "connector", None), HttpConnector):
-        return min(config.instances, 8)
+        return min(config.instances, WORKER_CAP)
     return 1
 
 
@@ -447,15 +457,23 @@ def _job_pool(config: ProtocolConfig, backend):
     return ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
 
 
-def _run_jobs(pool: ThreadPoolExecutor | None, job, jobs: list[tuple]) -> list:
+def _run_jobs(
+    pool: ThreadPoolExecutor | None, job, jobs: list[tuple], ledger: TokenLedger
+) -> list:
     """``job(*args)`` for each ``args`` of ``jobs``, results in input order.
 
-    Without a pool the jobs run inline on the calling thread.
+    Without a pool the jobs run inline on the calling thread. On a pool the
+    jobs record their token usage as the threads happen to run, so the
+    entries they add to ``ledger`` are then sorted by instance: with one job
+    per instance, in instance order, that is the inline order.
     """
     if pool is None:
         return [job(*args) for args in jobs]
+    start = len(ledger)
     futures = [pool.submit(job, *args) for args in jobs]
-    return [future.result() for future in futures]
+    results = [future.result() for future in futures]
+    ledger.sort_by_instance(start)
+    return results
 
 
 def _run_stages(
@@ -478,7 +496,9 @@ def _run_stages(
             active = [p for p in population if p.graduated_at is None]
             # Stage barrier: nothing below runs until every active instance
             # has finished its attempts and its checkpoint.
-            done = _run_jobs(pool, _worker, [(config, backend, p, stage, run_path) for p in active])
+            done = _run_jobs(
+                pool, _worker, [(config, backend, p, stage, run_path) for p in active], ledger
+            )
             outcomes = {p.instance: outcome for p, outcome in zip(active, done)}
 
             summaries = [s for i in sorted(outcomes) for s in outcomes[i][0]]
@@ -627,7 +647,7 @@ def evaluate(
         ]
 
     with _job_pool(config, backend) as pool:
-        returns = _run_jobs(pool, episodes, list(memories.items()))
+        returns = _run_jobs(pool, episodes, list(memories.items()), backend.ledger)
     return dict(zip(memories, returns))
 
 

@@ -25,13 +25,14 @@ from forge.agents import (
     parse_rule_clause,
     serialize_observation,
 )
-from forge.cage_lite import ActionKind, BlueAction, CompromiseLevel, InvalidActionError
+from forge.cage_lite import ActionKind, BlueAction, CompromiseLevel
 from forge.llm_connector import ChatMessage, ChatRequest, MockConnector
 from forge.memory import (
     ACTING_ROLES,
     ACTION_TABLE_MARKER,
     VALID_CLAUSE_RESPONSES,
     ArtifactKind,
+    ArtifactValidationError,
     Clause,
     MemoryArtifact,
     Origin,
@@ -172,18 +173,15 @@ class TestScriptedActionTable:
             assert clause_action(Clause(host=host, response=response)) == expected
             assert clause_action(Clause(host=0, response=response, target=host)) == expected
 
-    def test_out_of_range_clause_target_still_raises(self, memory):
-        memory.append(
+    def test_out_of_range_clause_target_still_raises(self):
+        # Refused when the artifact is built, so no decision ever reads it.
+        with pytest.raises(ArtifactValidationError, match="target"):
             MemoryArtifact(
                 kind=ArtifactKind.RULE,
                 role=Role.PLANNER,
                 text="When host 3 is compromised, then restore host 13.",
                 clause=Clause(host=3, response="Restore", target=13),
             )
-        )
-        observation = blank_observation(anomalous_process=flags_for([3]))
-        with pytest.raises(InvalidActionError):
-            ScriptedBackend().decide(observation, memory)
 
     def test_roles_are_walked_in_acting_order_whatever_the_dict_order(self):
         # Each role holds a clause on host 3 with its own response, so the
@@ -402,6 +400,16 @@ class TestLLMBackend:
         assert artifacts
         assert artifacts[0].kind is ArtifactKind.RULE
         assert artifacts[0].clause == Clause(host=6, response="Restore")
+
+    def test_llm_reflect_drops_a_rule_on_an_unknown_host(self, memory):
+        snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory)
+        reply = (
+            "- When host 13 is compromised, then restore host 13.\n"
+            "- When host 6 is compromised, then restore host 6.\n"
+        )
+        backend = LLMBackend(MockConnector(responder=lambda r: reply))
+        artifacts = backend.reflect(snapshot, Origin(2, 1, 1), CallContext())
+        assert [a.clause for a in artifacts] == [Clause(host=6, response="Restore")]
 
     def test_llm_reflect_reprompts_then_gives_up(self, memory, caplog):
         snapshot = snapshot_with({6: CompromiseLevel.USER_ACCESS}, memory)

@@ -247,6 +247,19 @@ class TestLedger:
                         sum(e.completion_tokens for e in matching),
                     )
 
+    def test_sort_by_instance_orders_only_the_tail_and_keeps_each_instance_in_order(self):
+        ledger = TokenLedger()
+        calls = [(2, 1), (1, 2), (3, 3), (1, 4), (2, 5), (1, 6)]
+        for instance, prompt in calls:
+            ledger.record(RequestMeta(instance, "planner", "adaptation"), TokenUsage(prompt, 1))
+        totals = {i: ledger.totals(instance=i) for i in (1, 2, 3)}
+        assert len(ledger) == 6
+        ledger.sort_by_instance(2)
+        assert [(e.instance, e.prompt_tokens) for e in ledger.entries()] == [
+            (2, 1), (1, 2), (1, 4), (1, 6), (2, 5), (3, 3)
+        ]
+        assert {i: ledger.totals(instance=i) for i in (1, 2, 3)} == totals
+
     def test_log_line_format(self):
         entry = TokenLogEntry(1.5, 2, "planner", "evaluation", 10, 4)
         line = entry.format()

@@ -133,6 +133,42 @@ class TestArtifactValidation:
                 clause=Clause(host=6, response="Nuke"),
             )
 
+    @pytest.mark.parametrize(
+        "clause, field",
+        [(Clause(host=13), "host"),
+         (Clause(host=-1), "host"),
+         (Clause(host=6, target=13), "target"),
+         (Clause(host=6, target=-1), "target")],
+        ids=["host-13", "host-minus-1", "target-13", "target-minus-1"],
+    )
+    def test_out_of_range_clause_host_rejected(self, clause, field):
+        with pytest.raises(ArtifactValidationError, match=f"clause {field} must be in 0..12"):
+            MemoryArtifact(
+                kind=ArtifactKind.RULE,
+                role=Role.PLANNER,
+                text="When host 6 is compromised, then restore host 6.",
+                clause=clause,
+            )
+
+    def test_edge_hosts_accepted(self):
+        for host in (0, 12):
+            MemoryArtifact(
+                kind=ArtifactKind.RULE,
+                role=Role.PLANNER,
+                text=f"When host {host} is compromised, then restore host {host}.",
+                clause=Clause(host=host, target=12 - host),
+            )
+
+    def test_out_of_range_clause_in_a_workspace_fails_its_load(self, memory, tmp_path):
+        memory.append(rule(6))
+        mem.save_workspace(memory, tmp_path)
+        path = tmp_path / "planner_reflection_knowledge.yaml"
+        text = path.read_text(encoding="utf-8")
+        assert "host: 6" in text
+        path.write_text(text.replace("host: 6", "host: 13"), encoding="utf-8")
+        with pytest.raises(ArtifactValidationError, match="clause host"):
+            mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
+
 
 class TestAppend:
     def test_append_to_empty(self, memory):

@@ -785,6 +785,18 @@ def _delayed_mock_transport(url, headers, payload):
     return _mock_transport(url, headers, payload)
 
 
+def _run_dir_bytes(run_dir: Path) -> dict[str, bytes]:
+    """Every file of a run directory by relative path; token-log timestamps stripped."""
+    files = {}
+    for path in sorted(run_dir.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "token_usage.log":
+                data = re.sub(rb"timestamp=\S+ ", b"", data)
+            files[path.relative_to(run_dir).as_posix()] = data
+    return files
+
+
 def _usage(ledger, **where) -> dict[str, int]:
     totals = ledger.totals(**where)
     return {"prompt": totals.prompt_tokens, "completion": totals.completion_tokens}
@@ -840,17 +852,57 @@ class TestStageWorkers:
         assert threads == {threading.main_thread()}
 
     @staticmethod
-    def _http_run(monkeypatch):
-        peaks = _record_decide_peaks(monkeypatch, LLMBackend)
+    def _http_run(monkeypatch, run_dir=None, threads=None):
+        peaks = _record_decide_peaks(monkeypatch, LLMBackend, threads)
         connector = HttpConnector(base_url="http://provider.invalid", transport=_delayed_mock_transport)
         config = small_config(
-            instances=3, stages=1, attempts_per_stage=1, eval_episodes_per_instance=1
+            instances=3, stages=2, attempts_per_stage=1, eval_episodes_per_instance=1
         )
-        return peaks, run_protocol(config, connector=connector).report
+        return peaks, run_protocol(config, run_dir=run_dir, connector=connector).report
 
     def test_http_connector_uses_several_workers(self, monkeypatch):
         peaks, _ = self._http_run(monkeypatch)
         assert peaks["adaptation"] > 1
+
+    def test_every_instance_of_a_stage_is_in_flight_at_once(self, monkeypatch):
+        # Each instance's first call waits until all ten are waiting, which
+        # only a pool with a worker per instance lets happen.
+        instances = 10
+        barrier = threading.Barrier(instances, timeout=10)
+        lock = threading.Lock()
+        started: set[int] = set()
+        broken: list[int] = []
+        original = LLMBackend.decide
+
+        def decide(self, observation, memory, ctx=None):
+            with lock:
+                first = ctx.instance not in started
+                started.add(ctx.instance)
+            if first:
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    broken.append(ctx.instance)
+            return original(self, observation, memory, ctx)
+
+        monkeypatch.setattr(LLMBackend, "decide", decide)
+        connector = HttpConnector(base_url="http://provider.invalid", transport=_mock_transport)
+        config = small_config(
+            instances=instances, stages=1, attempts_per_stage=1, eval_episodes_per_instance=1
+        )
+        run_protocol(config, connector=connector)
+        assert started == set(range(1, instances + 1))
+        assert broken == []
+
+    def test_worker_count_is_capped_without_starting_a_thread(self):
+        connector = HttpConnector(base_url="http://provider.invalid", transport=_mock_transport)
+        before = threading.active_count()
+        for instances, workers in ((1, 1), (10, 10), (protocol.WORKER_CAP, protocol.WORKER_CAP),
+                                   (1000, protocol.WORKER_CAP)):
+            config = small_config(instances=instances)
+            backend = protocol.build_backend(config, connector=connector)
+            assert protocol._stage_workers(config, backend) == workers
+        assert threading.active_count() == before
 
     def test_barrier_and_purity_hold_on_the_http_pool(self, monkeypatch, protocol_calls):
         peaks = _record_decide_peaks(monkeypatch, LLMBackend)
@@ -862,11 +914,18 @@ class TestStageWorkers:
         assert_stage_barrier(protocol_calls, stages=3)
         assert_checkpoints_pure(protocol_calls)
 
-    def test_http_connector_evaluates_on_several_workers(self, monkeypatch):
-        peaks, report = self._http_run(monkeypatch)
+    def test_http_connector_evaluates_on_several_workers(self, monkeypatch, tmp_path):
+        threads = set()
+        peaks, report = self._http_run(monkeypatch, tmp_path / "pooled", threads)
         assert peaks["evaluation"] > 1
+        assert len(threads) > 1
+        assert not any(thread.is_alive() for thread in threads)
         monkeypatch.undo()
         monkeypatch.setattr(protocol, "_stage_workers", lambda config, backend: 1)
-        serial_peaks, serial = self._http_run(monkeypatch)
+        serial_peaks, serial = self._http_run(monkeypatch, tmp_path / "serial")
         assert serial_peaks == {"adaptation": 1, "evaluation": 1}
         assert report.eval_returns == serial.eval_returns
+        pooled_files = _run_dir_bytes(tmp_path / "pooled")
+        assert {"final_report.json", "stage_summary_02.json", "token_usage.log"} <= set(pooled_files)
+        assert any(name.endswith("/memory/planner_reflection_knowledge.yaml") for name in pooled_files)
+        assert pooled_files == _run_dir_bytes(tmp_path / "serial")
