@@ -55,30 +55,9 @@ SUBAGENT_CALL_BUDGET = 6
 PARSE_REPROMPTS = 2
 
 
-class RoleConfigError(ValueError):
-    """A role definition violates the protocol's sampling constraints."""
-
-
 def output_token_cap(role: Role) -> int:
     """Learning agents may write twice as much as acting ones."""
     return ACTING_MAX_OUTPUT_TOKENS if role in ACTING_ROLES else LEARNING_MAX_OUTPUT_TOKENS
-
-
-@dataclass(frozen=True)
-class AgentRoleConfig:
-    role: Role
-    system_prompt: str
-    temperature: float = 0.0
-    max_output_tokens: int = ACTING_MAX_OUTPUT_TOKENS
-
-    def __post_init__(self) -> None:
-        if self.temperature != 0.0:
-            raise RoleConfigError(f"{self.role.value}: protocol roles run at temperature 0")
-        cap = output_token_cap(self.role)
-        if not 0 < self.max_output_tokens <= cap:
-            raise RoleConfigError(
-                f"{self.role.value}: max_output_tokens must be in (0, {cap}]"
-            )
 
 
 ACTION_REFERENCE_TABLE = f"""{ACTION_TABLE_MARKER}
@@ -117,15 +96,6 @@ _DEFAULT_SYSTEM_PROMPTS: dict[Role, str] = {
         "'Tool:', 'Observation:' and a final 'Answer: <action> [host]' line."
     ),
 }
-
-
-def default_role_configs() -> dict[Role, AgentRoleConfig]:
-    return {
-        role: AgentRoleConfig(
-            role=role, system_prompt=prompt, max_output_tokens=output_token_cap(role)
-        )
-        for role, prompt in _DEFAULT_SYSTEM_PROMPTS.items()
-    }
 
 
 def default_persistent() -> dict[Role, str]:
@@ -413,7 +383,6 @@ class LLMBackend:
         model: str = "mock-chat",
     ):
         self.connector = connector
-        self.role_configs = default_role_configs()
         self.representation = representation
         self.model = model
         # Usage of every completion made through this backend.
@@ -422,7 +391,7 @@ class LLMBackend:
     # -- plumbing ----------------------------------------------------------
 
     def _system_prompt(self, role: Role, memory: InstanceMemory) -> str:
-        base = self.role_configs[role].system_prompt
+        base = _DEFAULT_SYSTEM_PROMPTS[role]
         if role in (Role.PLANNER, Role.ANALYST, Role.ACTION_CHOOSER):
             return base + "\n\n" + memory.render(role, self.representation)
         # Learning agents get the action reference table on top of their prompt.
@@ -431,12 +400,12 @@ class LLMBackend:
     def _complete(
         self, role: Role, messages: list[ChatMessage], ctx: CallContext
     ) -> ChatResponse:
-        config = self.role_configs[role]
+        # Every role samples at temperature 0, within its role's output cap.
         request = ChatRequest(
             model=self.model,
             messages=tuple(messages),
-            temperature=config.temperature,
-            max_output_tokens=config.max_output_tokens,
+            temperature=0.0,
+            max_output_tokens=output_token_cap(role),
         )
         meta = ctx.meta(role)
         response = self.connector.complete(request, meta=meta)

@@ -530,6 +530,5 @@ def format_step_record(record: StepRecord) -> str:
 
 def write_trajectory(records: Iterable[StepRecord], path: str | Path) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [format_step_record(r) for r in records]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

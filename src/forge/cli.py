@@ -32,7 +32,7 @@ from .metrics import (
     sweep_tau,
     trigger_analysis,
 )
-from .protocol import ConfigError, RunError, load_config, run_protocol
+from .protocol import ConfigError, RunError, check_run_dir, load_config, run_protocol
 
 logger = logging.getLogger(__name__)
 
@@ -40,13 +40,7 @@ logger = logging.getLogger(__name__)
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     run_dir = Path(args.run_dir)
-    # The path itself or, when it does not exist yet, its nearest existing
-    # ancestor must be a directory.
-    existing = next((p for p in (run_dir, *run_dir.parents) if p.exists()), None)
-    if existing is not None and not existing.is_dir():
-        raise ConfigError(f"run directory path is not a directory: {existing}")
-    if run_dir.exists() and any(run_dir.iterdir()):
-        raise ConfigError(f"run directory already exists and is not empty: {run_dir}")
+    check_run_dir(run_dir)
     result = run_protocol(config, run_dir=run_dir, config_source=args.config)
     summary = summarize_report(result.report.to_dict())
     print(f"session written to {run_dir}")

@@ -174,7 +174,6 @@ class TokenLedger:
 
     def write(self, path: str | Path) -> None:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = [e.format() for e in self.entries()]
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 

@@ -13,7 +13,9 @@ import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .protocol import ConfigError, ProtocolConfig, RunError, run_protocol
+from .protocol import (
+    FINAL_REPORT, ConfigError, ProtocolConfig, RunError, check_run_dir, run_protocol
+)
 
 logger = logging.getLogger(__name__)
 
@@ -204,7 +206,7 @@ def summarize_report(report_data: dict) -> SessionSummary:
 
 
 def load_session_summary(session_dir: str | Path) -> SessionSummary:
-    report_path = Path(session_dir) / "final_report.json"
+    report_path = Path(session_dir) / FINAL_REPORT
     report_data = json.loads(report_path.read_text(encoding="utf-8"))
     return summarize_report(report_data)
 
@@ -236,16 +238,19 @@ def sweep_tau(
     ``tau_-1.05``), so a threshold may appear only once.
     """
     # Every threshold is checked, as the failure trigger of its run's
-    # config, before any run starts.
+    # config, and so is every run directory, before any run starts.
     run_configs = [replace(config, failure_trigger=tau) for tau in taus]
     if len(set(taus)) != len(taus):
         raise ConfigError("sweep thresholds must be distinct")
+    run_dirs = [
+        None if out_dir is None else Path(out_dir) / f"tau_{float(tau)!r}" for tau in taus
+    ]
+    for run_dir in run_dirs:
+        if run_dir is not None:
+            check_run_dir(run_dir)
 
     entries = []
-    for tau, run_config in zip(taus, run_configs):
-        run_dir = None
-        if out_dir is not None:
-            run_dir = Path(out_dir) / f"tau_{float(tau)!r}"
+    for tau, run_config, run_dir in zip(taus, run_configs, run_dirs):
         try:
             result = run_protocol(run_config, run_dir=run_dir, connector=connector)
             entries.append(SweepEntry(tau=tau, summary=summarize_report(result.report.to_dict())))
@@ -300,7 +305,9 @@ def aggregate(session_dirs: list[str | Path]) -> AggregateReport:
     for directory in session_dirs:
         try:
             summaries.append(load_session_summary(directory))
-        except (OSError, ValueError, KeyError) as exc:
+        # A report of the wrong shape ([] or a null field) raises TypeError
+        # or AttributeError on its way through summarize_report.
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             logger.warning("skipping malformed session %s: %s", directory, exc)
             skipped.append(f"{directory}: {exc}")
 

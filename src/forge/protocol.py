@@ -8,6 +8,10 @@ every active instance has checkpointed. Offline backends run every job on
 the calling thread; only an :class:`HttpConnector` gets a thread pool, with
 one worker per active instance up to :data:`WORKER_CAP`, so no stage waits
 on a second round of jobs.
+
+This module owns the run-directory layout: it builds every path in a run
+directory, and the writers it calls write only the path they are handed. A
+job writes its attempt files on its own thread as the attempts finish.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .agents import (
     mock_responder,
 )
 from .llm_connector import HttpConnector, MockConnector, TokenLedger
-from .memory import InstanceMemory, Representation, replace_dynamic, save_workspace
-from .reflexion import AttemptError, AttemptSummary, reflexion_loop, run_frozen_episode
+from .memory import InstanceMemory, Representation, dump_yaml, replace_dynamic, save_workspace
+from .reflexion import AttemptError, AttemptOutcome, reflexion_loop, run_frozen_episode
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -350,6 +354,23 @@ def broadcast(
 # Orchestration
 # ---------------------------------------------------------------------------
 
+# The one name in a run directory that readers outside this module open.
+FINAL_REPORT = "final_report.json"
+
+
+def check_run_dir(run_dir: Path) -> None:
+    """Raise :class:`ConfigError` unless ``run_dir`` is empty or can be made.
+
+    The path itself or, when it does not exist yet, its nearest existing
+    ancestor must be a directory, so that a new run never mixes its files
+    with an old run's.
+    """
+    existing = next((p for p in (run_dir, *run_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"run directory path is not a directory: {existing}")
+    if run_dir.exists() and any(run_dir.iterdir()):
+        raise ConfigError(f"run directory already exists and is not empty: {run_dir}")
+
 
 def run_protocol(
     config: ProtocolConfig,
@@ -381,7 +402,7 @@ def run_protocol(
         raise RunError(f"protocol run failed: {exc}") from exc
 
     if run_path is not None:
-        _write_atomic(run_path / "final_report.json", result.report.to_json())
+        _write_atomic(run_path / FINAL_REPORT, result.report.to_json())
         ledger.write(run_path / "token_usage.log")
     return result
 
@@ -400,17 +421,44 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _stage_dir(run_path: Path, instance: int, stage: int) -> Path:
+    return run_path / "workspaces" / f"instance_{instance:02d}" / f"stage_{stage:02d}"
+
+
+def _write_attempt(stage_dir: Path, attempt: int, outcome: AttemptOutcome) -> None:
+    """Write an attempt's trajectory and, if it aborted, its failure snapshot."""
+    attempt_dir = stage_dir / f"attempt_{attempt:02d}"
+    attempt_dir.mkdir(parents=True, exist_ok=True)
+    cage_lite.write_trajectory(outcome.trajectory, attempt_dir / "trajectory.log")
+    snapshot = outcome.snapshot
+    if snapshot is not None:
+        payload = {
+            "instance": snapshot.origin.instance,
+            "stage": snapshot.origin.stage,
+            "attempt": snapshot.origin.attempt,
+            "failing_step": snapshot.failing_step,
+            "failing_reward": snapshot.failing_reward,
+            "failing_host": snapshot.failing_host,
+            "snapshot_text": snapshot.text,
+        }
+        (attempt_dir / "snapshot.yaml").write_text(dump_yaml(payload), encoding="utf-8")
+
+
 def _worker(
     config: ProtocolConfig,
     backend,
     state: InstanceState,
     stage: int,
     run_path: Path | None,
-) -> tuple[list[AttemptSummary], float]:
-    workspace = None
-    if run_path is not None:
-        workspace = run_path / "workspaces" / f"instance_{state.instance:02d}" / f"stage_{stage:02d}"
-    summaries = reflexion_loop(
+) -> tuple[int, int, float]:
+    """One instance's stage: its attempts, then its checkpoint.
+
+    Each attempt's files are written as soon as it has learned, and the
+    attempt is then dropped. Returns the count of aborted attempts, the
+    artifacts they added and the checkpoint score.
+    """
+    aborted = added = 0
+    for summary in reflexion_loop(
         state.memory,
         instance=state.instance,
         stage=stage,
@@ -419,12 +467,18 @@ def _worker(
         representation=config.representation,
         backend=backend,
         base_seed=config.base_seed,
-        workspace=workspace,
-    )
+    ):
+        if run_path is not None and summary.outcome is not None:
+            _write_attempt(
+                _stage_dir(run_path, state.instance, stage), summary.attempt, summary.outcome
+            )
+        aborted += summary.status == "aborted"
+        added += summary.artifacts_added
+        del summary  # so no attempt outlives its files through the next one or the checkpoint
     ckpt_seed = derive_seed(config.base_seed, "ckpt", stage, state.instance)
     ctx = CallContext(instance=state.instance, phase=PHASE_ADAPTATION)
     score = checkpoint(state.memory, ckpt_seed, backend, ctx=ctx)
-    return summaries, score
+    return aborted, added, score
 
 
 # Most threads in one pool: above any shipped population, it only bounds huge ones.
@@ -499,12 +553,9 @@ def _run_stages(
             done = _run_jobs(
                 pool, _worker, [(config, backend, p, stage, run_path) for p in active], ledger
             )
-            outcomes = {p.instance: outcome for p, outcome in zip(active, done)}
-
-            summaries = [s for i in sorted(outcomes) for s in outcomes[i][0]]
             results = [
-                CheckpointResult(instance=i, stage=stage, episode_return=outcomes[i][1])
-                for i in sorted(outcomes)
+                CheckpointResult(instance=p.instance, stage=stage, episode_return=score)
+                for p, (_, _, score) in zip(active, done)
             ]
 
             # Reported returns: None for a failed checkpoint and for graduates,
@@ -542,8 +593,8 @@ def _run_stages(
                 graduated_after=sorted(graduated),
                 memory_hashes=memory_hashes,
                 tokens_by_instance=tokens_by_instance,
-                aborted_attempts=sum(1 for s in summaries if s.status == "aborted"),
-                artifacts_created=sum(s.artifacts_added for s in summaries),
+                aborted_attempts=sum(aborted for aborted, _, _ in done),
+                artifacts_created=sum(added for _, added, _ in done),
             )
             stage_reports.append(report)
             logger.info(
@@ -565,11 +616,7 @@ def _run_stages(
                     _save_snapshot(
                         p.memory,
                         memory_hashes[p.instance],
-                        run_path
-                        / "workspaces"
-                        / f"instance_{p.instance:02d}"
-                        / f"stage_{stage:02d}"
-                        / "memory",
+                        _stage_dir(run_path, p.instance, stage) / "memory",
                         snapshots,
                     )
 

@@ -16,13 +16,13 @@ import functools
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from typing import Iterator
 
 from . import cage_lite
 from .agents import CallContext, serialize_snapshot
 from .cage_lite import EnvState, StepRecord, deepest_compromised_chain_host, episode_return
 from .llm_connector import ConnectorError
-from .memory import InstanceMemory, MemoryArtifact, Origin, Representation, dump_yaml
+from .memory import InstanceMemory, MemoryArtifact, Origin, Representation
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -84,9 +84,13 @@ class AttemptOutcome:
 @dataclass(frozen=True)
 class AttemptSummary:
     attempt: int
-    status: str  # "completed" | "aborted" | "errored"
-    episode_return: float | None
+    outcome: AttemptOutcome | None  # None when the attempt errored
     artifacts_added: int
+
+    @property
+    def status(self) -> str:
+        """``"completed"``, ``"aborted"`` or ``"errored"``."""
+        return "errored" if self.outcome is None else self.outcome.status.value
 
 
 def run_attempt(
@@ -147,25 +151,6 @@ def synthesize(
     return artifacts
 
 
-def _write_attempt_artifacts(
-    workspace: Path, attempt: int, outcome: AttemptOutcome
-) -> None:
-    attempt_dir = workspace / f"attempt_{attempt:02d}"
-    cage_lite.write_trajectory(outcome.trajectory, attempt_dir / "trajectory.log")
-    snapshot = outcome.snapshot
-    if snapshot is not None:
-        payload = {
-            "instance": snapshot.origin.instance,
-            "stage": snapshot.origin.stage,
-            "attempt": snapshot.origin.attempt,
-            "failing_step": snapshot.failing_step,
-            "failing_reward": snapshot.failing_reward,
-            "failing_host": snapshot.failing_host,
-            "snapshot_text": snapshot.text,
-        }
-        (attempt_dir / "snapshot.yaml").write_text(dump_yaml(payload), encoding="utf-8")
-
-
 def reflexion_loop(
     memory: InstanceMemory,
     *,
@@ -177,18 +162,19 @@ def reflexion_loop(
     backend,
     base_seed: int,
     env=cage_lite,
-    workspace: str | Path | None = None,
-) -> list[AttemptSummary]:
+) -> Iterator[AttemptSummary]:
     """Run exactly ``attempts`` attempts, learning from each aborted one.
 
+    Yields one summary per attempt, after the attempt has learned. The loop
+    keeps no attempt past its summary, so a caller that drops each summary
+    holds at most one attempt's trajectory at a time.
     A completed attempt does not end the stage early; extra attempts are
-    extra learning opportunities. Errored attempts are recorded and skipped
-    without touching memory.
+    extra learning opportunities. Errored attempts are yielded without an
+    outcome and without touching memory.
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
     ctx = CallContext(instance=instance, phase="adaptation")
-    summaries: list[AttemptSummary] = []
     for attempt in range(1, attempts + 1):
         env_seed = derive_seed(base_seed, stage, instance, attempt)
         try:
@@ -207,22 +193,17 @@ def reflexion_loop(
             logger.warning(
                 "instance %d stage %d attempt %d errored: %s", instance, stage, attempt, exc
             )
-            summaries.append(AttemptSummary(attempt, "errored", None, 0))
+            yield AttemptSummary(attempt, None, 0)
             continue
 
-        # Every attempt's trajectory is written; aborted ones add the failure
-        # snapshot that the learning agents consume.
-        if workspace is not None:
-            _write_attempt_artifacts(Path(workspace), attempt, outcome)
         added = []
         if outcome.snapshot is not None:
             added = synthesize(outcome.snapshot, representation, backend, ctx=ctx)
             for artifact in added:
                 memory.append(artifact)
-        summaries.append(
-            AttemptSummary(attempt, outcome.status.value, outcome.episode_return, len(added))
-        )
-    return summaries
+        yield AttemptSummary(attempt, outcome, len(added))
+        # Not held through the next attempt: the caller keeps what it needs.
+        del outcome
 
 
 def run_frozen_episode(

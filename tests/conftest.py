@@ -93,7 +93,7 @@ class ProtocolCall:
     instance: int
     start: int
     end: int
-    attempts: int = 0  # summaries a reflexion_loop returned
+    attempts: int = 0  # summaries a reflexion_loop yielded
     hash_before: str = ""  # memory hash when a checkpoint began
     hash_after: str = ""  # ... and when it returned
 
@@ -119,16 +119,20 @@ def protocol_calls(monkeypatch) -> list[ProtocolCall]:
             return next(sequence)
 
     def recording_loop(memory, **kwargs):
+        # A generator, as the loop it wraps: it starts when the caller first
+        # asks for a summary and ends when the caller has taken the last one.
         with lock:
             stages[kwargs["instance"]] = kwargs["stage"]
             start = next(sequence)
-        summaries = reflexion_loop(memory, **kwargs)
+        attempts = 0
+        for summary in reflexion_loop(memory, **kwargs):
+            attempts += 1
+            yield summary
         call = ProtocolCall(
-            "reflexion_loop", kwargs["stage"], kwargs["instance"], start, tick(), len(summaries)
+            "reflexion_loop", kwargs["stage"], kwargs["instance"], start, tick(), attempts
         )
         with lock:
             calls.append(call)
-        return summaries
 
     def recording_checkpoint(memory, seed, backend, ctx=None, **kwargs):
         hash_before = memory.content_hash()

@@ -11,14 +11,11 @@ from conftest import blank_observation, flags_for
 from forge import cage_lite as env
 from forge.agents import (
     ACTION_REFERENCE_TABLE,
-    AgentRoleConfig,
     CallContext,
     LLMBackend,
-    RoleConfigError,
     ScriptedBackend,
     clause_action,
     default_memory,
-    default_role_configs,
     mock_responder,
     output_token_cap,
     parse_action,
@@ -51,30 +48,6 @@ def clause_rule(host: int, response: str = "Restore", trigger: str = "compromise
         origin=Origin(1, 1, 1),
         artifact_id=f"rule-{host}-{response}",
     )
-
-
-class TestRoleConfigs:
-    def test_nonzero_temperature_rejected(self):
-        with pytest.raises(RoleConfigError):
-            AgentRoleConfig(role=Role.PLANNER, system_prompt="x", temperature=0.7)
-
-    def test_acting_token_cap(self):
-        with pytest.raises(RoleConfigError):
-            AgentRoleConfig(role=Role.PLANNER, system_prompt="x", max_output_tokens=20_000)
-
-    def test_defaults_run_at_temperature_zero_within_output_cap(self):
-        configs = default_role_configs()
-        assert set(configs) == set(Role)
-        for role, config in configs.items():
-            assert config.role is role
-            assert config.temperature == 0.0
-            assert 0 < config.max_output_tokens <= output_token_cap(role)
-
-    def test_learning_roles_get_larger_cap(self):
-        config = default_role_configs()
-        assert config[Role.PLANNER].max_output_tokens == 10_000
-        assert config[Role.REFLECTOR].max_output_tokens == 20_000
-        assert config[Role.EXEMPLIFIER].max_output_tokens == 20_000
 
 
 HOST_FLAGS = st.tuples(*[st.booleans()] * 13)
@@ -311,14 +284,16 @@ class TestParsing:
 
 
 class RecordingConnector:
-    """Wraps a connector and keeps every request for prompt inspection."""
+    """Wraps a connector and keeps every request, and the role it was made for."""
 
     def __init__(self, inner):
         self.inner = inner
         self.requests: list[ChatRequest] = []
+        self.roles: list[str] = []
 
     def complete(self, request, meta=None):
         self.requests.append(request)
+        self.roles.append(meta.role)
         return self.inner.complete(request, meta)
 
 
@@ -426,6 +401,42 @@ class TestLLMBackend:
         assert len(artifacts) == 1
         assert artifacts[0].kind is ArtifactKind.EXAMPLE
         assert artifacts[0].clause is not None and artifacts[0].clause.host == 10
+
+
+class TestRoleConfigs:
+    @staticmethod
+    def sampling_by_role(memory) -> dict[str, set[tuple[float, int]]]:
+        """Drive all five roles once and collect (temperature, output cap) per role."""
+        connector = RecordingConnector(MockConnector(responder=mock_responder))
+        backend = LLMBackend(connector)
+        observation = blank_observation(anomalous_process=flags_for([6]))
+        backend.decide(observation, memory, CallContext())
+        backend.analyse(6, observation, memory, CallContext())
+        backend.rank_actions({"host": 6, "severity": "high"}, memory, CallContext())
+        snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory)
+        backend.reflect(snapshot, Origin(2, 1, 1), CallContext())
+        backend.exemplify(snapshot, Origin(2, 1, 1), CallContext())
+        sampling: dict[str, set[tuple[float, int]]] = {}
+        for role, request in zip(connector.roles, connector.requests, strict=True):
+            sampling.setdefault(role, set()).add(
+                (request.temperature, request.max_output_tokens)
+            )
+        return sampling
+
+    def test_defaults_run_at_temperature_zero_within_output_cap(self, memory):
+        sampling = self.sampling_by_role(memory)
+        assert set(sampling) == {role.value for role in Role}
+        for role in Role:
+            for temperature, cap in sampling[role.value]:
+                assert temperature == 0.0
+                assert 0 < cap <= output_token_cap(role)
+
+    def test_learning_roles_get_larger_cap(self, memory):
+        # Learning agents may write twice as much as acting ones.
+        sampling = self.sampling_by_role(memory)
+        assert sampling == {
+            role.value: {(0.0, 10_000 if role in ACTING_ROLES else 20_000)} for role in Role
+        }
 
 
 class TestMockResponder:

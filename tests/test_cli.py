@@ -264,6 +264,25 @@ class TestSweepVerb:
         assert "failure_trigger" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_used_out_directory_is_config_error_before_any_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, CONFIG.replace("stages: 2", "stages: 1"))
+        out = tmp_path / "sweep"
+        (out / "tau_-2.0").mkdir(parents=True)
+        (out / "tau_-2.0" / "stage_summary_03.json").write_text("{}")
+        code = main(["sweep", "--config", str(config), "--tau", "-1.1", "-2.0", "--out", str(out)])
+        assert code == 2
+        assert "not empty" in capsys.readouterr().err
+        assert not (out / "tau_-1.1").exists()
+
+    def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "afile"
+        out.write_text("x")
+        code = main(["sweep", "--config", str(config), "--tau", "-1.1", "--out", str(out)])
+        assert code == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "x"
+
     def test_repeated_tau_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "sweep"
@@ -294,6 +313,22 @@ class TestAggregateVerb:
         assert code == 0
         data = json.loads(out_file.read_text())
         assert data["groups"]["best/rules"]["sessions"] == 2
+
+
+    @pytest.mark.parametrize("text", ["[]", '{"eval_returns": null}'])
+    def test_wrongly_shaped_report_is_a_skipped_session(self, tmp_path, capsys, text):
+        config = write_config(tmp_path)
+        good = tmp_path / "good"
+        assert main(["run", "--config", str(config), "--run-dir", str(good)]) == 0
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "final_report.json").write_text(text)
+        capsys.readouterr()
+        assert main(["aggregate", "--sessions", str(good), str(bad)]) == 0
+        out = capsys.readouterr().out
+        skipped = out.split("skipped sessions:\n", 1)[1].splitlines()
+        assert len(skipped) == 1 and str(bad) in skipped[0]
+        assert "best/rules" in out
 
 
 class TestBaselinesVerb:

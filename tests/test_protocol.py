@@ -7,6 +7,7 @@ import logging
 import re
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -678,6 +679,64 @@ class TestRunDirectoryWrites:
         run_protocol(config, run_dir=copied)
         assert self.files(copied) == self.files(tmp_path / "linked")
         assert all(p.stat().st_nlink == 1 for p in copied.rglob("*") if p.is_file())
+
+    def test_attempt_files(self, tmp_path):
+        """Every attempt that ran leaves its trajectory, every abort its snapshot.
+
+        The connector fails the run's first call, the first decision of
+        instance 1's first attempt, so that attempt errors and leaves no
+        directory.
+        """
+        inner = MockConnector(responder=mock_responder)
+        calls = 0
+
+        class FirstCallFails:
+            def complete(self, request, meta=None):
+                nonlocal calls
+                calls += 1
+                if calls == 1:
+                    raise ConnectorError("provider down")
+                return inner.complete(request, meta)
+
+        config = small_config()
+        run_protocol(config, run_dir=tmp_path, connector=FirstCallFails())
+        report = json.loads((tmp_path / "final_report.json").read_text())
+        workspaces = tmp_path / "workspaces"
+        assert not (workspaces / "instance_01" / "stage_01" / "attempt_01").exists()
+        active = [
+            sum(1 for g in report["graduation_stage"].values() if g is None or g >= stage)
+            for stage in range(1, config.stages + 1)
+        ]
+        attempts = sorted(workspaces.glob("*/*/attempt_*"))
+        assert len(attempts) == sum(active) * config.attempts_per_stage - 1
+        for attempt in attempts:
+            lines = (attempt / "trajectory.log").read_text().splitlines()
+            assert lines[0].startswith("step=01 action=")
+            snapshot = attempt / "snapshot.yaml"
+            if snapshot.exists():
+                assert yaml.safe_load(snapshot.read_text())["failing_step"] == len(lines)
+        for stage in report["stage_reports"]:
+            snapshots = list(workspaces.glob(f"*/stage_{stage['stage']:02d}/*/snapshot.yaml"))
+            assert len(snapshots) == stage["aborted_attempts"]
+        assert report["aborted_attempts"] > 0
+
+    @pytest.mark.parametrize("backend", ["scripted", "mock"])
+    def test_no_attempt_outlives_its_files(self, tmp_path, monkeypatch, backend):
+        """Once its files are written an attempt is freed, so no trajectory is
+        held through the next episode: the next attempt or the checkpoint."""
+        outcomes: list[weakref.ref] = []
+        run_attempt = reflexion.run_attempt
+
+        def recording(*args, **kwargs):
+            assert all(ref() is None for ref in outcomes)
+            outcome = run_attempt(*args, **kwargs)
+            outcomes.append(weakref.ref(outcome))
+            return outcome
+
+        monkeypatch.setattr(reflexion, "run_attempt", recording)
+        run_protocol(small_config(backend=backend), run_dir=tmp_path)
+        assert len(outcomes) > 12
+        assert list(tmp_path.glob("workspaces/*/*/*/snapshot.yaml"))
 
     def test_failure_text_serialized_once_per_aborted_attempt(self, tmp_path, monkeypatch):
         calls = []

@@ -86,16 +86,18 @@ class FailingBackend:
 class TestReflexionLoop:
     def test_all_completed_leaves_memory_unchanged(self, memory):
         before = memory.content_hash()
-        summaries = reflexion_loop(
-            memory,
-            instance=1,
-            stage=1,
-            attempts=3,
-            tau=-1.1,
-            representation=Representation.RULES,
-            backend=MonitorBackend(),
-            base_seed=0,
-            env=ScriptedRewardEnv([0.0] * 30),
+        summaries = list(
+            reflexion_loop(
+                memory,
+                instance=1,
+                stage=1,
+                attempts=3,
+                tau=-1.1,
+                representation=Representation.RULES,
+                backend=MonitorBackend(),
+                base_seed=0,
+                env=ScriptedRewardEnv([0.0] * 30),
+            )
         )
         assert [s.status for s in summaries] == ["completed"] * 3
         assert memory.content_hash() == before
@@ -104,15 +106,17 @@ class TestReflexionLoop:
         backend = ScriptedBackend(representation=Representation.RULES)
         base_seed = yylchash_seed()
         sizes_after = record_sizes_after_attempts(monkeypatch, memory)
-        summaries = reflexion_loop(
-            memory,
-            instance=1,
-            stage=1,
-            attempts=3,
-            tau=-1.1,
-            representation=Representation.RULES,
-            backend=backend,
-            base_seed=base_seed,
+        summaries = list(
+            reflexion_loop(
+                memory,
+                instance=1,
+                stage=1,
+                attempts=3,
+                tau=-1.1,
+                representation=Representation.RULES,
+                backend=backend,
+                base_seed=base_seed,
+            )
         )
         growth = list(zip([s.status for s in summaries], sizes_after(), strict=True))
         aborted = [g for g in growth if g[0] == "aborted"]
@@ -121,97 +125,88 @@ class TestReflexionLoop:
         assert growth[first_abort_index][1] == 1
 
     def test_loop_never_exceeds_attempt_budget(self, memory):
-        summaries = reflexion_loop(
-            memory,
-            instance=2,
-            stage=1,
-            attempts=2,
-            tau=-1.1,
-            representation=Representation.MIXED,
-            backend=ScriptedBackend(representation=Representation.MIXED),
-            base_seed=7,
+        summaries = list(
+            reflexion_loop(
+                memory,
+                instance=2,
+                stage=1,
+                attempts=2,
+                tau=-1.1,
+                representation=Representation.MIXED,
+                backend=ScriptedBackend(representation=Representation.MIXED),
+                base_seed=7,
+            )
         )
         assert len(summaries) == 2
 
     def test_errored_attempts_recorded_without_memory_change(self, memory):
         before = memory.content_hash()
-        summaries = reflexion_loop(
-            memory,
-            instance=1,
-            stage=1,
-            attempts=3,
-            tau=-1.1,
-            representation=Representation.RULES,
-            backend=FailingBackend(),
-            base_seed=1,
+        summaries = list(
+            reflexion_loop(
+                memory,
+                instance=1,
+                stage=1,
+                attempts=3,
+                tau=-1.1,
+                representation=Representation.RULES,
+                backend=FailingBackend(),
+                base_seed=1,
+            )
         )
         assert [s.status for s in summaries] == ["errored"] * 3
         assert memory.content_hash() == before
 
     def test_mixed_representation_adds_rule_and_example(self, memory):
         backend = ScriptedBackend(representation=Representation.MIXED)
-        reflexion_loop(
-            memory,
-            instance=1,
-            stage=1,
-            attempts=1,
-            tau=-1.1,
-            representation=Representation.MIXED,
-            backend=backend,
-            base_seed=yylchash_seed(),
+        list(
+            reflexion_loop(
+                memory,
+                instance=1,
+                stage=1,
+                attempts=1,
+                tau=-1.1,
+                representation=Representation.MIXED,
+                backend=backend,
+                base_seed=yylchash_seed(),
+            )
         )
         kinds = {a.kind for a in memory.artifacts()}
         assert kinds == {ArtifactKind.RULE, ArtifactKind.EXAMPLE}
 
     def test_examples_representation_adds_only_examples(self, memory):
         backend = ScriptedBackend(representation=Representation.EXAMPLES)
-        reflexion_loop(
-            memory,
-            instance=1,
-            stage=1,
-            attempts=2,
-            tau=-1.1,
-            representation=Representation.EXAMPLES,
-            backend=backend,
-            base_seed=yylchash_seed(),
+        list(
+            reflexion_loop(
+                memory,
+                instance=1,
+                stage=1,
+                attempts=2,
+                tau=-1.1,
+                representation=Representation.EXAMPLES,
+                backend=backend,
+                base_seed=yylchash_seed(),
+            )
         )
         assert memory.artifacts(), "expected learning to occur"
         assert all(a.kind is ArtifactKind.EXAMPLE for a in memory.artifacts())
 
     def test_dynamic_memory_growth_is_monotone_within_stage(self, memory, monkeypatch):
         sizes_after = record_sizes_after_attempts(monkeypatch, memory)
-        reflexion_loop(
-            memory,
-            instance=1,
-            stage=1,
-            attempts=3,
-            tau=-1.1,
-            representation=Representation.RULES,
-            backend=ScriptedBackend(representation=Representation.RULES),
-            base_seed=3,
+        list(
+            reflexion_loop(
+                memory,
+                instance=1,
+                stage=1,
+                attempts=3,
+                tau=-1.1,
+                representation=Representation.RULES,
+                backend=ScriptedBackend(representation=Representation.RULES),
+                base_seed=3,
+            )
         )
         sizes = sizes_after()
         assert len(sizes) == 3
         assert sizes == sorted(sizes)
-
-    def test_workspace_files_written(self, memory, tmp_path):
-        reflexion_loop(
-            memory,
-            instance=1,
-            stage=1,
-            attempts=2,
-            tau=-1.1,
-            representation=Representation.RULES,
-            backend=ScriptedBackend(representation=Representation.RULES),
-            base_seed=yylchash_seed(),
-            workspace=tmp_path,
-        )
-        logs = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
-        assert "attempt_01/trajectory.log" in logs
-        snapshots = [p for p in logs if p.endswith("snapshot.yaml")]
-        trajectory = (tmp_path / "attempt_01" / "trajectory.log").read_text()
-        assert trajectory.startswith("step=01 action=")
-        assert snapshots, "expected at least one abort snapshot on this seed"
 
 
 def record_sizes_after_attempts(monkeypatch, memory):

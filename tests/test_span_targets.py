@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from forge import cage_lite
+from forge import cage_lite, protocol
 from forge.agents import ScriptedBackend, default_memory
 from forge.reflexion import AttemptStatus, run_attempt
 
@@ -30,7 +30,8 @@ def load_spans():
     return module
 
 
-TARGETS = load_spans().TARGETS
+spans = load_spans()
+TARGETS = spans.TARGETS
 
 
 @pytest.mark.parametrize(
@@ -54,3 +55,15 @@ def test_every_simulator_step_goes_through_the_module_step(monkeypatch):
     outcome = run_attempt(default_memory(), 7, None, ScriptedBackend())
     assert outcome.status is AttemptStatus.COMPLETED
     assert calls == len(outcome.trajectory) == 30
+
+
+def test_a_run_directory_is_written_through_the_wrapped_names(tmp_path):
+    config = protocol.ProtocolConfig(instances=2, stages=2, attempts_per_stage=2, backend="mock")
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        protocol.run_protocol(config, run_dir=tmp_path)
+    names = [s.name for s in tracer.spans()]
+    trajectories = len(list(tmp_path.rglob("trajectory.log")))
+    assert trajectories > 0
+    assert names.count("cage_lite.write_trajectory") == trajectories
+    assert names.count("memory.save_workspace") > 0
