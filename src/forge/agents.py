@@ -239,7 +239,6 @@ class ScriptedBackend:
     ) -> BlueAction:
         confirmed = observation.confirmed_host()
         admitted = self._admitted
-        # Same order as ``memory.artifacts(self.representation)``, without the list.
         for role in ACTING_ROLES:
             for artifact in memory.dynamic[role]:
                 clause = artifact.clause

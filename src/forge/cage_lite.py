@@ -9,8 +9,8 @@ non-positive and fall into the calibrated penalty groups documented in
 An episode is driven in place: ``begin`` returns an :class:`Episode` that
 owns one live generator, and ``step(episode, action)`` advances it. This is
 the simulator's one transition, so episodes replay bit-identically from
-``(seed, action sequence)``. ``Episode.state`` snapshots an episode as an
-:class:`EnvState` value for failure snapshots.
+``(seed, action sequence)``. ``Episode.foothold`` names the host the attacker
+operates from, which a failure snapshot records as its failing host.
 """
 
 from __future__ import annotations
@@ -36,14 +36,6 @@ class CompromiseLevel(IntEnum):
     SCANNED = 1
     USER_ACCESS = 2
     ROOT_ACCESS = 3
-
-
-class AttackPhase(IntEnum):
-    DISCOVERY = 0
-    ACCESS = 1
-    LATERAL_MOVEMENT = 2
-    ESCALATION = 3
-    OP_SERVER_ROOT = 4
 
 
 class ActionKind(Enum):
@@ -97,13 +89,6 @@ def _subnet_slice(hosts: tuple[int, ...]) -> slice:
 _USER_SLICE = _subnet_slice(cal.USER_HOSTS)
 _ENTERPRISE_SLICE = _subnet_slice(cal.ENTERPRISE_HOSTS)
 _OPERATIONAL_SLICE = _subnet_slice(cal.OPERATIONAL_HOSTS)
-
-
-@dataclass(frozen=True, slots=True)
-class AttackerState:
-    phase: AttackPhase
-    foothold: int | None
-    target_chain: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,14 +153,6 @@ class StepRecord(NamedTuple):
     observation: Observation
 
 
-@dataclass(frozen=True, slots=True)
-class EnvState:
-    hosts: tuple[HostCompromise, ...]
-    attacker: AttackerState
-    step: int
-    rng_state: tuple
-
-
 # Kill-chain milestones: the attacker works down this list, one operation
 # attempt per step. Progress is *derived* from host state, so remediation
 # on a chain host automatically knocks the attacker back.
@@ -191,19 +168,6 @@ _MILESTONES: tuple[tuple[int, CompromiseLevel], ...] = (
     (2, CompromiseLevel.ROOT_ACCESS),
 )
 
-_PHASE_BY_PROGRESS: tuple[AttackPhase, ...] = (
-    AttackPhase.DISCOVERY,
-    AttackPhase.ACCESS,
-    AttackPhase.ACCESS,
-    AttackPhase.ACCESS,
-    AttackPhase.LATERAL_MOVEMENT,
-    AttackPhase.LATERAL_MOVEMENT,
-    AttackPhase.LATERAL_MOVEMENT,
-    AttackPhase.ESCALATION,
-    AttackPhase.ESCALATION,
-    AttackPhase.OP_SERVER_ROOT,
-)
-
 
 def _progress(hosts: Sequence[HostCompromise], chain: tuple[int, ...]) -> int:
     for i, (slot, needed) in enumerate(_MILESTONES):
@@ -217,15 +181,6 @@ def _foothold(hosts: Sequence[HostCompromise], chain: tuple[int, ...]) -> int | 
         if hosts[host].level >= CompromiseLevel.USER_ACCESS:
             return host
     return None
-
-
-def _attacker_view(hosts: tuple[HostCompromise, ...], chain: tuple[int, ...]) -> AttackerState:
-    progress = _progress(hosts, chain)
-    return AttackerState(
-        phase=_PHASE_BY_PROGRESS[progress],
-        foothold=_foothold(hosts, chain),
-        target_chain=chain,
-    )
 
 
 def _advance_attacker(
@@ -330,9 +285,7 @@ def _observe(
 
 
 class Episode:
-    """One episode in progress, stepped in place by :func:`step` with one live
-    generator. ``state`` snapshots the episode as an :class:`EnvState`.
-    """
+    """One episode in progress, stepped in place by :func:`step` with one live generator."""
 
     __slots__ = ("hosts", "chain", "step_index", "rng")
 
@@ -352,14 +305,9 @@ class Episode:
     def done(self) -> bool:
         return self.step_index >= cal.EPISODE_LENGTH
 
-    def state(self) -> EnvState:
-        hosts = tuple(self.hosts)
-        return EnvState(
-            hosts=hosts,
-            attacker=_attacker_view(hosts, self.chain),
-            step=self.step_index,
-            rng_state=self.rng.getstate(),
-        )
+    def foothold(self) -> int | None:
+        """The attacker's furthest compromised chain host, or None."""
+        return _foothold(self.hosts, self.chain)
 
 
 def begin(seed: int) -> tuple[Episode, Observation]:
@@ -418,11 +366,6 @@ def step(episode: Episode, action: BlueAction) -> tuple[Observation, float]:
 def episode_return(records: Iterable[StepRecord]) -> float:
     # Rewards are exact tenths; rounding the float sum restores exactness.
     return round(sum(r.reward for r in records), 1)
-
-
-def deepest_compromised_chain_host(state: EnvState) -> int | None:
-    """The attacker's furthest compromised pivot, i.e. the failure's culprit."""
-    return _foothold(state.hosts, state.attacker.target_chain)
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,8 @@ class MockConnector:
     only cost a recount.
     """
 
-    def __init__(self, responder: Responder, ledger: TokenLedger | None = None):
+    def __init__(self, responder: Responder):
         self.responder = responder
-        self.ledger = ledger
         self._system_tokens: dict[tuple[int, str], tuple[str, int]] = {}
 
     def _prompt_tokens(self, request: ChatRequest, meta: RequestMeta | None) -> int:
@@ -233,8 +232,6 @@ class MockConnector:
             prompt_tokens=self._prompt_tokens(request, meta),
             completion_tokens=approx_tokens(content),
         )
-        if self.ledger is not None and meta is not None:
-            self.ledger.record(meta, usage)
         return ChatResponse(content=content, usage=usage, provider_latency=0.0)
 
 

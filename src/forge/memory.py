@@ -231,17 +231,6 @@ class InstanceMemory:
         while len(bucket) > self.capacity:
             bucket.pop(0)
 
-    def artifacts(
-        self, representation: Representation | None = None, role: Role | None = None
-    ) -> list[MemoryArtifact]:
-        roles = ACTING_ROLES if role is None else (role,)
-        out = []
-        for r in roles:
-            for artifact in self.dynamic[r]:
-                if representation is None or representation.admits(artifact.kind):
-                    out.append(artifact)
-        return out
-
     def render(self, role: Role, representation: Representation) -> str:
         """The role's prompt section: persistent text, then admitted rules and examples.
 

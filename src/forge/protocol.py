@@ -464,7 +464,6 @@ def _worker(
         stage=stage,
         attempts=config.attempts_per_stage,
         tau=config.failure_trigger,
-        representation=config.representation,
         backend=backend,
         base_seed=config.base_seed,
     ):

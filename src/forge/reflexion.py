@@ -2,7 +2,7 @@
 
 An attempt runs an episode step by step and aborts the moment one per-step
 reward falls strictly below the failure trigger. The aborted attempt's
-snapshot (trajectory, memory, environment state) feeds a learning agent that
+snapshot (trajectory, memory, failing host) feeds a learning agent that
 synthesizes memory artifacts; they are appended to memory and the episode
 restarts from step 0, up to a fixed number of attempts per stage.
 
@@ -20,7 +20,7 @@ from typing import Iterator
 
 from . import cage_lite
 from .agents import CallContext, serialize_snapshot
-from .cage_lite import EnvState, StepRecord, deepest_compromised_chain_host, episode_return
+from .cage_lite import StepRecord, episode_return
 from .llm_connector import ConnectorError
 from .memory import InstanceMemory, MemoryArtifact, Origin, Representation
 from .seeding import derive_seed
@@ -40,7 +40,8 @@ class AttemptStatus(Enum):
 @dataclass(frozen=True)
 class FailureSnapshot:
     """An aborted attempt: its trajectory up to the failing step, the memory
-    it ran with and the environment state it stopped in.
+    it ran with and the failing host, the attacker's furthest compromised
+    chain host when it stopped (None if it held none).
 
     The failing step and reward are read off the last trajectory record, so
     ``failing_step`` is the 1-based step its trajectory line shows.
@@ -49,7 +50,7 @@ class FailureSnapshot:
     trajectory: tuple[StepRecord, ...]
     memory_at_failure: InstanceMemory
     origin: Origin
-    env_state: EnvState
+    failing_host: int | None
 
     @property
     def failing_step(self) -> int:
@@ -58,11 +59,6 @@ class FailureSnapshot:
     @property
     def failing_reward(self) -> float:
         return self.trajectory[-1].reward
-
-    @functools.cached_property
-    def failing_host(self) -> int | None:
-        """The deepest compromised chain host, found on first use."""
-        return deepest_compromised_chain_host(self.env_state)
 
     @functools.cached_property
     def text(self) -> str:
@@ -108,8 +104,8 @@ def run_attempt(
 
     ``tau=None`` runs the episode frozen (no trigger), which is how
     checkpoints and evaluations reuse this loop. ``env.begin(seed)`` returns
-    an episode with ``done`` and ``state()`` plus the first observation;
-    ``env.step(episode, action)`` steps it in place, and its state is taken
+    an episode with ``done`` and ``foothold()`` plus the first observation;
+    ``env.step(episode, action)`` steps it in place, and its foothold is read
     only for an aborted attempt's snapshot.
     """
     if tau is not None and tau >= 0:
@@ -130,19 +126,18 @@ def run_attempt(
                 trajectory=trajectory,
                 memory_at_failure=memory.clone(),
                 origin=Origin(stage=stage, attempt=attempt, instance=instance),
-                env_state=episode.state(),
+                failing_host=episode.foothold(),
             )
             return AttemptOutcome(episode_return(records), trajectory, snapshot)
     return AttemptOutcome(episode_return(records), tuple(records))
 
 
 def synthesize(
-    snapshot: FailureSnapshot,
-    representation: Representation,
-    backend,
-    ctx: CallContext | None = None,
+    snapshot: FailureSnapshot, backend, ctx: CallContext | None = None
 ) -> list[MemoryArtifact]:
-    """Turn a failure snapshot into artifacts via Reflector and/or Exemplifier."""
+    """Turn a failure snapshot into artifacts via Reflector and/or Exemplifier,
+    as ``backend.representation`` asks."""
+    representation = backend.representation
     artifacts = []
     if representation in (Representation.RULES, Representation.MIXED):
         artifacts.extend(backend.reflect(snapshot, snapshot.origin, ctx=ctx))
@@ -158,7 +153,6 @@ def reflexion_loop(
     stage: int,
     attempts: int,
     tau: float,
-    representation: Representation,
     backend,
     base_seed: int,
     env=cage_lite,
@@ -170,7 +164,9 @@ def reflexion_loop(
     holds at most one attempt's trajectory at a time.
     A completed attempt does not end the stage early; extra attempts are
     extra learning opportunities. Errored attempts are yielded without an
-    outcome and without touching memory.
+    outcome and without touching memory. A backend error while learning
+    from an aborted attempt leaves memory untouched too: the attempt is
+    yielded with its outcome and no artifacts.
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
@@ -198,7 +194,16 @@ def reflexion_loop(
 
         added = []
         if outcome.snapshot is not None:
-            added = synthesize(outcome.snapshot, representation, backend, ctx=ctx)
+            try:
+                added = synthesize(outcome.snapshot, backend, ctx=ctx)
+            except ConnectorError as exc:
+                logger.warning(
+                    "instance %d stage %d attempt %d learned nothing: %s",
+                    instance,
+                    stage,
+                    attempt,
+                    exc,
+                )
             for artifact in added:
                 memory.append(artifact)
         yield AttemptSummary(attempt, outcome, len(added))

@@ -33,11 +33,6 @@ def write_penalty_lines(entries, path) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
-@dataclass
-class FakeState:
-    step: int
-
-
 class ScriptedRewardEpisode:
     """Episode of :class:`ScriptedRewardEnv`, stepped in place by its ``step``."""
 
@@ -49,8 +44,8 @@ class ScriptedRewardEpisode:
     def done(self) -> bool:
         return self.step_index >= len(self.rewards)
 
-    def state(self) -> FakeState:
-        return FakeState(self.step_index)
+    def foothold(self) -> None:
+        return None
 
 
 class ScriptedRewardEnv:

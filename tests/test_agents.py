@@ -215,7 +215,6 @@ def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
     episode, _ = env.begin(1)
     for host, level in levels.items():
         episode.hosts[host] = env.HostCompromise(level=level)
-    state = episode.state()
     observation = blank_observation(
         step_index=1,
         anomalous_process=flags_for(list(levels)),
@@ -228,7 +227,7 @@ def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
         trajectory=(record,),
         memory_at_failure=memory.clone(),
         origin=Origin(stage=2, attempt=1, instance=1),
-        env_state=state,
+        failing_host=episode.foothold(),
     )
 
 

@@ -12,7 +12,6 @@ from forge import calibration as cal
 from forge import cage_lite as env
 from forge.cage_lite import (
     ActionKind,
-    AttackPhase,
     BlueAction,
     CompromiseLevel,
     EpisodeTerminalError,
@@ -44,9 +43,19 @@ def advance_attacker(episode):
     env._advance_attacker(episode.hosts, episode.chain, episode.rng)
 
 
+def progress(episode) -> int:
+    """How many kill-chain milestones the attacker holds, 0 to 9."""
+    return env._progress(episode.hosts, episode.chain)
+
+
+def values(episode) -> tuple:
+    """Everything an episode holds, as one comparable value."""
+    return tuple(episode.hosts), episode.chain, episode.step_index, episode.rng.getstate()
+
+
 def started(seed):
     episode, observation = env.begin(seed)
-    return episode.state(), observation
+    return values(episode), observation
 
 
 class TestTopology:
@@ -67,12 +76,12 @@ class TestTopology:
 
 class TestReset:
     def test_initial_conditions(self):
-        state, observation = started(42)
-        assert all(h.level is CompromiseLevel.CLEAN for h in state.hosts)
-        assert all(not h.decoy_present for h in state.hosts)
-        assert state.attacker.phase is AttackPhase.DISCOVERY
-        assert state.attacker.foothold is None
-        assert state.step == 0
+        episode, observation = env.begin(42)
+        assert all(h.level is CompromiseLevel.CLEAN for h in episode.hosts)
+        assert all(not h.decoy_present for h in episode.hosts)
+        assert progress(episode) == 0
+        assert episode.foothold() is None
+        assert episode.step_index == 0
         assert observation.step_index == 0
 
     def test_reset_is_bit_identical(self):
@@ -255,32 +264,30 @@ class TestAttacker:
         for seed in range(30):
             episode, _ = env.begin(seed)
             advance_attacker(episode)
-            after = episode.state()
-            assert after.attacker.phase in (AttackPhase.DISCOVERY, AttackPhase.ACCESS)
-            if after.attacker.phase is AttackPhase.ACCESS:
+            assert progress(episode) in (0, 1)
+            if progress(episode) == 1:
                 advanced += 1
                 user = episode.chain[0]
-                assert after.hosts[user].level is CompromiseLevel.SCANNED
+                assert episode.hosts[user].level is CompromiseLevel.SCANNED
         assert advanced > 0
 
-    def test_phase_advances_at_most_one_step(self):
+    def test_progress_advances_at_most_one_step(self):
         episode, _ = env.begin(11)
         while not episode.done:
-            before = episode.state().attacker.phase
+            before = progress(episode)
             env.step(episode, BlueAction(ActionKind.MONITOR))
-            assert episode.state().attacker.phase - before <= 1
+            assert progress(episode) - before <= 1
 
     def test_decoy_absorbs_attack_and_is_consumed(self):
         episode, _ = env.begin(3)
         user = episode.chain[0]
         set_host(episode, user, decoy=True)
         advance_attacker(episode)
-        after = episode.state()
-        assert after.attacker.phase is AttackPhase.DISCOVERY
-        assert after.hosts[user].level is CompromiseLevel.CLEAN
-        assert not after.hosts[user].decoy_present
+        assert progress(episode) == 0
+        assert episode.hosts[user].level is CompromiseLevel.CLEAN
+        assert not episode.hosts[user].decoy_present
 
-    def test_restore_on_foothold_strictly_regresses_phase(self):
+    def test_restore_on_foothold_strictly_regresses_progress(self):
         user, enterprise, op = cal.TARGET_CHAIN
         scenarios = [
             {user: CompromiseLevel.USER_ACCESS},
@@ -296,10 +303,10 @@ class TestAttacker:
             crafted, _ = env.begin(3)
             for host, level in levels.items():
                 set_host(crafted, host, level)
-            before = crafted.state().attacker
-            assert before.foothold is not None
-            env.step(crafted, BlueAction(ActionKind.RESTORE, before.foothold))
-            assert crafted.state().attacker.phase < before.phase
+            before, foothold = progress(crafted), crafted.foothold()
+            assert foothold is not None
+            env.step(crafted, BlueAction(ActionKind.RESTORE, foothold))
+            assert progress(crafted) < before
 
     def test_remove_never_clears_root(self):
         episode, _ = env.begin(3)
@@ -325,21 +332,19 @@ class TestEpisodes:
         def rollout():
             episode, _ = env.begin(99)
             out = [env.step(episode, action) for action in actions]
-            return out, episode.state()
+            return out, values(episode)
 
         assert rollout() == rollout()
 
     def test_monotone_severity_under_sleep(self):
-        by_phase: dict[AttackPhase, list[float]] = {p: [] for p in AttackPhase}
+        by_progress: list[list[float]] = [[] for _ in range(10)]
         for seed in range(200):
             episode, _ = env.begin(seed + 40_000)
             while not episode.done:
                 _, reward = env.step(episode, BlueAction(ActionKind.MONITOR))
-                by_phase[episode.state().attacker.phase].append(reward)
-        means = [
-            statistics.fmean(by_phase[p]) for p in AttackPhase if by_phase[p]
-        ]
-        assert len(means) == len(AttackPhase)
+                by_progress[progress(episode)].append(reward)
+        assert all(by_progress), "every kill-chain progress is reached"
+        means = [statistics.fmean(rewards) for rewards in by_progress]
         for earlier, later in zip(means, means[1:]):
             assert later <= earlier
 
@@ -390,8 +395,14 @@ class TestTrajectoryLog:
         )
 
 
-def _host_levels(state) -> list[tuple[int, bool]]:
-    return [(int(h.level), h.decoy_present) for h in state.hosts]
+def _host_levels(hosts) -> list[tuple[int, bool]]:
+    return [(int(h.level), h.decoy_present) for h in hosts]
+
+
+# The attack phase of each kill-chain progress, as earlier releases named it
+# (discovery, access, lateral movement, escalation, op-server root): the
+# attacker digest below hashes it.
+_PHASE_BY_PROGRESS = (0, 1, 1, 1, 2, 2, 2, 3, 3, 4)
 
 
 class TestRandomStream:
@@ -414,8 +425,7 @@ class TestRandomStream:
                 f" analysed={observation.analysed_host}:{None if level is None else int(level)}\n"
                 .encode()
             )
-        state = episode.state()
-        digest.update(repr((_host_levels(state), state.rng_state)).encode())
+        digest.update(repr((_host_levels(episode.hosts), episode.rng.getstate())).encode())
         assert episode.done
         assert digest.hexdigest() == (
             "fb4ea49a3681197c16de1d377a06c85d29c60014a264c570745ee6439fa454b7"
@@ -426,9 +436,9 @@ class TestRandomStream:
         episode, _ = env.begin(4242)
         for _ in range(12):
             advance_attacker(episode)
-            state = episode.state()
+            phase = _PHASE_BY_PROGRESS[progress(episode)]
             digest.update(
-                repr((_host_levels(state), int(state.attacker.phase), state.rng_state)).encode()
+                repr((_host_levels(episode.hosts), phase, episode.rng.getstate())).encode()
             )
         assert digest.hexdigest() == (
             "2e9295c399772da3120975bcc7b719a70626ae39ee1983e0da7e181ff2cdb8f1"
@@ -482,14 +492,14 @@ class TestEpisode:
         for _ in range(cal.EPISODE_LENGTH):
             env.step(episode, BlueAction(ActionKind.MONITOR))
         assert episode.done
-        final = episode.state()
+        final = values(episode)
         with pytest.raises(EpisodeTerminalError):
             env.step(episode, BlueAction(ActionKind.MONITOR))
-        assert episode.state() == final
+        assert values(episode) == final
 
     def test_non_action_raises_invalid_action(self):
         episode, _ = env.begin(8)
-        before = episode.state()
+        before = values(episode)
         with pytest.raises(InvalidActionError):
             env.step(episode, "Monitor")
-        assert episode.state() == before
+        assert values(episode) == before

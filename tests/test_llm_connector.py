@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from conftest import blank_observation
+from forge.agents import CallContext, LLMBackend, default_memory, mock_responder
 from forge.llm_connector import (
     ChatMessage,
     ChatRequest,
@@ -39,14 +41,26 @@ class TestMock:
         assert response.usage == TokenUsage(prompt_tokens=2, completion_tokens=3)
 
     def test_ledger_receives_usage(self):
-        ledger = TokenLedger()
-        connector = MockConnector(responder=lambda r: "a b", ledger=ledger)
-        connector.complete(request("one two three"), META)
-        assert ledger.totals() == TokenUsage(3, 2)
+        """A mock keeps no ledger: the backend that calls it records the usage
+        each completion returns."""
+        connector = MockConnector(responder=mock_responder)
+        complete = connector.complete
+        returned = []
+
+        def recording(request, meta=None):
+            response = complete(request, meta)
+            returned.append((response.usage.prompt_tokens, response.usage.completion_tokens))
+            return response
+
+        connector.complete = recording
+        backend = LLMBackend(connector)
+        backend.decide(blank_observation(), default_memory(), CallContext(instance=1))
+        assert returned
+        entries = backend.ledger.entries()
+        assert [(e.prompt_tokens, e.completion_tokens) for e in entries] == returned
 
     def test_usage_equals_uncounted_sums_as_system_prompts_alternate(self):
-        ledger = TokenLedger()
-        connector = MockConnector(responder=lambda r: f"reply {len(r.messages)}", ledger=ledger)
+        connector = MockConnector(responder=lambda r: f"reply {len(r.messages)}")
         # Equal texts of different lengths in tokens, rebuilt on each call so
         # that equal prompts are distinct objects.
         systems = ["You are the Planner. a b c", "You are the Planner.  abc d e f"]
@@ -56,7 +70,6 @@ class TestMock:
             RequestMeta(instance=1, role="analyst", phase="evaluation"),
             None,
         ]
-        counted = []
         for k in range(24):
             system = "".join(systems[(k // 3) % 2])
             messages = (ChatMessage("system", system), ChatMessage("user", "obs " * k))
@@ -68,11 +81,6 @@ class TestMock:
                 sum(approx_tokens(m.content) for m in messages), approx_tokens(response.content)
             )
             assert response.usage == usage
-            if meta is not None:
-                counted.append(usage)
-        assert ledger.totals() == TokenUsage(
-            sum(u.prompt_tokens for u in counted), sum(u.completion_tokens for u in counted)
-        )
 
     def test_kept_counts_survive_racing_threads(self):
         connector = MockConnector(responder=lambda r: "ok")

@@ -363,7 +363,7 @@ class TestReplaceDynamic:
     def test_empty_source_empties_destination(self, memory):
         memory.append(rule())
         mem.replace_dynamic(memory, default_memory())
-        assert memory.artifacts() == []
+        assert not any(memory.dynamic.values())
 
     def test_deep_copy_isolates_source(self, memory):
         src = default_memory()
@@ -418,7 +418,7 @@ class TestInvariants:
         memory.append(rule())
         before = memory.content_hash()
         memory.render(Role.PLANNER, Representation.MIXED)
-        memory.artifacts(Representation.RULES)
+        memory.render(Role.ANALYST, Representation.RULES)
         assert memory.content_hash() == before
 
     def test_persistent_hash_unchanged_by_appends(self, memory):

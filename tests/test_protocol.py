@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import itertools
 import json
 import logging
 import re
@@ -315,7 +316,7 @@ class TestRunProtocol:
         result = run_protocol(small_config(condition=Condition.REFLEXION))
         assert all(s.champion is None for s in result.report.stage_reports)
         for state in result.population:
-            for artifact in state.memory.artifacts():
+            for artifact in itertools.chain(*state.memory.dynamic.values()):
                 assert artifact.origin.instance == state.instance
 
     def test_everyone_graduates_early_stops_attempts(self, protocol_calls):
@@ -511,6 +512,34 @@ class TestRunProtocol:
             "instance 1 stage 1 attempt 1 errored: backend failed during attempt: "
             "malformed provider reply: KeyError('choices')"
         ]
+
+    def test_reflector_error_costs_one_attempt_its_artifacts(self, tmp_path, caplog):
+        """A provider error while learning from an abort leaves that attempt
+        aborted, with its files, and adds nothing to memory; the run goes on."""
+        failed = []
+
+        def responder(request):
+            if not failed and "You are the Reflector" in request.messages[0].content:
+                failed.append(request)
+                raise ConnectorError("provider down once")
+            return mock_responder(request)
+
+        config = small_config(instances=2, stages=1, attempts_per_stage=2)
+        connector = MockConnector(responder)
+        with caplog.at_level(logging.WARNING, logger="forge.reflexion"):
+            report = run_protocol(config, run_dir=tmp_path, connector=connector).report
+        assert failed
+        assert [r.message for r in caplog.records if "learned nothing" in r.message] == [
+            "instance 1 stage 1 attempt 1 learned nothing: provider down once"
+        ]
+        attempt_dir = tmp_path / "workspaces" / "instance_01" / "stage_01" / "attempt_01"
+        assert (attempt_dir / "trajectory.log").exists()
+        assert (attempt_dir / "snapshot.yaml").exists()
+        # Each abort of an undisturbed run adds one rule; the failed one adds none.
+        reference = run_protocol(config).report
+        assert reference.artifacts_created == reference.aborted_attempts
+        assert report.aborted_attempts == reference.aborted_attempts
+        assert report.artifacts_created == reference.artifacts_created - 1
 
     def test_token_reconciliation(self):
         result = run_protocol(small_config())

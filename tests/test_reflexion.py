@@ -75,7 +75,7 @@ class TestSnapshot:
         from test_memory import rule
 
         memory.append(rule(5))
-        assert snapshot_memory.artifacts() == []
+        assert not any(snapshot_memory.dynamic.values())
 
 
 class FailingBackend:
@@ -93,7 +93,6 @@ class TestReflexionLoop:
                 stage=1,
                 attempts=3,
                 tau=-1.1,
-                representation=Representation.RULES,
                 backend=MonitorBackend(),
                 base_seed=0,
                 env=ScriptedRewardEnv([0.0] * 30),
@@ -113,7 +112,6 @@ class TestReflexionLoop:
                 stage=1,
                 attempts=3,
                 tau=-1.1,
-                representation=Representation.RULES,
                 backend=backend,
                 base_seed=base_seed,
             )
@@ -132,7 +130,6 @@ class TestReflexionLoop:
                 stage=1,
                 attempts=2,
                 tau=-1.1,
-                representation=Representation.MIXED,
                 backend=ScriptedBackend(representation=Representation.MIXED),
                 base_seed=7,
             )
@@ -148,7 +145,6 @@ class TestReflexionLoop:
                 stage=1,
                 attempts=3,
                 tau=-1.1,
-                representation=Representation.RULES,
                 backend=FailingBackend(),
                 base_seed=1,
             )
@@ -165,12 +161,11 @@ class TestReflexionLoop:
                 stage=1,
                 attempts=1,
                 tau=-1.1,
-                representation=Representation.MIXED,
                 backend=backend,
                 base_seed=yylchash_seed(),
             )
         )
-        kinds = {a.kind for a in memory.artifacts()}
+        kinds = {a.kind for items in memory.dynamic.values() for a in items}
         assert kinds == {ArtifactKind.RULE, ArtifactKind.EXAMPLE}
 
     def test_examples_representation_adds_only_examples(self, memory):
@@ -182,13 +177,13 @@ class TestReflexionLoop:
                 stage=1,
                 attempts=2,
                 tau=-1.1,
-                representation=Representation.EXAMPLES,
                 backend=backend,
                 base_seed=yylchash_seed(),
             )
         )
-        assert memory.artifacts(), "expected learning to occur"
-        assert all(a.kind is ArtifactKind.EXAMPLE for a in memory.artifacts())
+        learned = [a for items in memory.dynamic.values() for a in items]
+        assert learned, "expected learning to occur"
+        assert all(a.kind is ArtifactKind.EXAMPLE for a in learned)
 
     def test_dynamic_memory_growth_is_monotone_within_stage(self, memory, monkeypatch):
         sizes_after = record_sizes_after_attempts(monkeypatch, memory)
@@ -199,7 +194,6 @@ class TestReflexionLoop:
                 stage=1,
                 attempts=3,
                 tau=-1.1,
-                representation=Representation.RULES,
                 backend=ScriptedBackend(representation=Representation.RULES),
                 base_seed=3,
             )
@@ -219,12 +213,15 @@ def record_sizes_after_attempts(monkeypatch, memory):
     at_start = []
     run_attempt = reflexion.run_attempt
 
+    def size():
+        return sum(len(items) for items in memory.dynamic.values())
+
     def recording(memory_arg, *args, **kwargs):
-        at_start.append(len(memory.artifacts()))
+        at_start.append(size())
         return run_attempt(memory_arg, *args, **kwargs)
 
     monkeypatch.setattr(reflexion, "run_attempt", recording)
-    return lambda: at_start[1:] + [len(memory.artifacts())]
+    return lambda: at_start[1:] + [size()]
 
 
 def yylchash_seed() -> int:
@@ -263,7 +260,7 @@ class TestLearnedClausePreventsFailure:
             )
             if first.status is not AttemptStatus.ABORTED:
                 continue
-            artifacts = synthesize(first.snapshot, Representation.RULES, backend)
+            artifacts = synthesize(first.snapshot, backend)
             if not artifacts or artifacts[0].clause is None:
                 continue
             if artifacts[0].clause.response != "Restore":
@@ -289,7 +286,8 @@ class TestSynthesizeDispatch:
         )
         if outcome.status is not AttemptStatus.ABORTED:
             pytest.skip("seed did not abort")
-        artifacts = synthesize(outcome.snapshot, Representation.RULES, ScriptedBackend())
+        backend = ScriptedBackend(representation=Representation.RULES)
+        artifacts = synthesize(outcome.snapshot, backend)
         assert all(a.kind is ArtifactKind.RULE for a in artifacts)
         assert all(a.role is Role.PLANNER for a in artifacts)
 
@@ -319,23 +317,13 @@ class TestEpisodeSteppedInPlace:
         memory = default_memory()
         aborted = 0
         for seed in self.SEEDS:
-            before = dict(generator_state_copies)
             outcome = run_attempt(memory, seed, -1.1, backend)
-            setstate = generator_state_copies["setstate"] - before["setstate"]
-            getstate = generator_state_copies["getstate"] - before["getstate"]
-            assert setstate == 0
-            if outcome.status is AttemptStatus.ABORTED:
-                aborted += 1
-                assert getstate <= 1
-            else:
-                assert getstate == 0
-        for seed in self.SEEDS:
+            aborted += outcome.status is AttemptStatus.ABORTED
             run_frozen_episode(memory, seed, backend)
         assert aborted > 0
-        assert generator_state_copies["setstate"] == 0
-        assert generator_state_copies["getstate"] <= aborted
+        assert generator_state_copies == {"setstate": 0, "getstate": 0}
 
-    def test_aborted_env_state_equals_pure_step_state(self):
+    def test_failing_host_equals_replayed_foothold(self):
         backend = ScriptedBackend()
         aborted = 0
         for seed in self.SEEDS:
@@ -349,5 +337,8 @@ class TestEpisodeSteppedInPlace:
                 observation, reward = env.step(episode, record.action)
                 assert (observation, reward) == (record.observation, record.reward)
             assert len(outcome.trajectory) == snapshot.failing_step
-            assert snapshot.env_state == episode.state()
+            # A reward below the trigger needs a compromised host, and the
+            # attacker compromises only hosts of its chain.
+            assert snapshot.failing_host is not None
+            assert snapshot.failing_host == episode.foothold()
         assert aborted > 0
