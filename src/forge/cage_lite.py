@@ -18,8 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import calibration as cal
 from .seeding import derive_seed
@@ -471,7 +470,6 @@ def format_step_record(record: StepRecord) -> str:
     )
 
 
-def write_trajectory(records: Iterable[StepRecord], path: str | Path) -> None:
-    path = Path(path)
-    lines = [format_step_record(r) for r in records]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+def write_trajectory(records: Iterable[StepRecord], out: TextIO, prefix: str) -> None:
+    """Write one line per step record to ``out``, each led by ``prefix``."""
+    out.writelines(f"{prefix}{format_step_record(r)}\n" for r in records)

@@ -283,18 +283,18 @@ class HttpConnector:
         }
         last_status: int | None = None
         for attempt in range(self.MAX_ATTEMPTS):
+            if attempt:  # back off before a retry; an exhausted call raises at once
+                self.sleep(self.BACKOFF_SECONDS * 2 ** (attempt - 1))
             started = time.monotonic()
             try:
                 status, body = self.transport(url, headers, payload)
             except OSError as exc:
                 last_status = None
                 logger.warning("connector transport error (attempt %d): %s", attempt + 1, exc)
-                self.sleep(self.BACKOFF_SECONDS * 2**attempt)
                 continue
             if 500 <= status < 600 or status == 429:
                 last_status = status
                 logger.warning("connector got status %d (attempt %d)", status, attempt + 1)
-                self.sleep(self.BACKOFF_SECONDS * 2**attempt)
                 continue
             if status != 200:
                 raise ConnectorError(f"provider returned status {status}", status=status)

@@ -10,8 +10,9 @@ one worker per active instance up to :data:`WORKER_CAP`, so no stage waits
 on a second round of jobs.
 
 This module owns the run-directory layout: it builds every path in a run
-directory, and the writers it calls write only the path they are handed. A
-job writes its attempt files on its own thread as the attempts finish.
+directory, and the writers it calls write only the path or stream they are
+handed. A job appends its attempts to its instance's two logs on its own
+thread as the attempts finish.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import get_type_hints
+from typing import TextIO, get_type_hints
 
 import yaml
 
@@ -39,7 +40,7 @@ from .agents import (
     mock_responder,
 )
 from .llm_connector import HttpConnector, MockConnector, TokenLedger
-from .memory import InstanceMemory, Representation, dump_yaml, replace_dynamic, save_workspace
+from .memory import InstanceMemory, Representation, replace_dynamic, save_workspace
 from .reflexion import AttemptError, AttemptOutcome, reflexion_loop, run_frozen_episode
 from .seeding import derive_seed
 
@@ -300,16 +301,26 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
+def _frozen_return(
+    memory: InstanceMemory, seed: int, backend, ctx: CallContext | None, env=cage_lite
+) -> float:
+    """A frozen episode's return, run once more if the first try raises :class:`AttemptError`."""
+    try:
+        return run_frozen_episode(memory, seed, backend, ctx=ctx, env=env)
+    except AttemptError as exc:
+        logger.warning("frozen episode on seed %d failed, retrying once: %s", seed, exc)
+    return run_frozen_episode(memory, seed, backend, ctx=ctx, env=env)
+
+
 def checkpoint(
     memory: InstanceMemory, seed: int, backend, ctx: CallContext | None = None, env=cage_lite
 ) -> float:
     """Frozen single-episode probe; retried once, then the failure sentinel."""
-    for attempt in range(2):
-        try:
-            return run_frozen_episode(memory, seed, backend, ctx=ctx, env=env)
-        except AttemptError as exc:
-            logger.warning("checkpoint attempt %d failed: %s", attempt + 1, exc)
-    return CHECKPOINT_FAILED
+    try:
+        return _frozen_return(memory, seed, backend, ctx, env)
+    except AttemptError as exc:
+        logger.warning("checkpoint failed twice: %s", exc)
+        return CHECKPOINT_FAILED
 
 
 def graduate_set(
@@ -357,6 +368,11 @@ def broadcast(
 # The one name in a run directory that readers outside this module open.
 FINAL_REPORT = "final_report.json"
 
+# Each instance's two logs in ``workspaces/instance_II/``, appended attempt by
+# attempt: every step's line, and one JSON line per aborted attempt.
+TRAJECTORIES = "trajectories.log"
+FAILURES = "failures.jsonl"
+
 
 def check_run_dir(run_dir: Path) -> None:
     """Raise :class:`ConfigError` unless ``run_dir`` is empty or can be made.
@@ -392,6 +408,13 @@ def run_protocol(
         (run_path / "config.yaml").write_text(
             yaml.safe_dump(config_to_dict(config), sort_keys=True), encoding="utf-8"
         )
+        # A run into a used directory starts its logs afresh, never appending to
+        # an old run's lines nor writing through an inode another path shares.
+        for state in population:
+            instance_dir = _instance_dir(run_path, state.instance)
+            instance_dir.mkdir(parents=True, exist_ok=True)
+            for name in (TRAJECTORIES, FAILURES):
+                (instance_dir / name).unlink(missing_ok=True)
 
     try:
         result = _run_stages(config, backend, population, ledger, run_path)
@@ -421,15 +444,16 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _stage_dir(run_path: Path, instance: int, stage: int) -> Path:
-    return run_path / "workspaces" / f"instance_{instance:02d}" / f"stage_{stage:02d}"
+def _instance_dir(run_path: Path, instance: int) -> Path:
+    return run_path / "workspaces" / f"instance_{instance:02d}"
 
 
-def _write_attempt(stage_dir: Path, attempt: int, outcome: AttemptOutcome) -> None:
-    """Write an attempt's trajectory and, if it aborted, its failure snapshot."""
-    attempt_dir = stage_dir / f"attempt_{attempt:02d}"
-    attempt_dir.mkdir(parents=True, exist_ok=True)
-    cage_lite.write_trajectory(outcome.trajectory, attempt_dir / "trajectory.log")
+def _write_attempt(
+    trajectories: TextIO, failures: TextIO, stage: int, attempt: int, outcome: AttemptOutcome
+) -> None:
+    """Append an attempt's steps and, if it aborted, its failure record to the logs."""
+    prefix = f"stage={stage:02d} attempt={attempt:02d} "
+    cage_lite.write_trajectory(outcome.trajectory, trajectories, prefix)
     snapshot = outcome.snapshot
     if snapshot is not None:
         payload = {
@@ -441,7 +465,8 @@ def _write_attempt(stage_dir: Path, attempt: int, outcome: AttemptOutcome) -> No
             "failing_host": snapshot.failing_host,
             "snapshot_text": snapshot.text,
         }
-        (attempt_dir / "snapshot.yaml").write_text(dump_yaml(payload), encoding="utf-8")
+        # ASCII escapes keep a record on one line, whatever breaks its text holds.
+        failures.write(json.dumps(payload, sort_keys=True, ensure_ascii=True) + "\n")
 
 
 def _worker(
@@ -453,27 +478,34 @@ def _worker(
 ) -> tuple[int, int, float]:
     """One instance's stage: its attempts, then its checkpoint.
 
-    Each attempt's files are written as soon as it has learned, and the
-    attempt is then dropped. Returns the count of aborted attempts, the
-    artifacts they added and the checkpoint score.
+    Each attempt is appended to the instance's logs as soon as it has
+    learned, and is then dropped. No other job of the instance runs at the
+    same time, so the logs need no lock. Returns the count of aborted
+    attempts, the artifacts they added and the checkpoint score.
     """
     aborted = added = 0
-    for summary in reflexion_loop(
-        state.memory,
-        instance=state.instance,
-        stage=stage,
-        attempts=config.attempts_per_stage,
-        tau=config.failure_trigger,
-        backend=backend,
-        base_seed=config.base_seed,
-    ):
-        if run_path is not None and summary.outcome is not None:
-            _write_attempt(
-                _stage_dir(run_path, state.instance, stage), summary.attempt, summary.outcome
-            )
-        aborted += summary.status == "aborted"
-        added += summary.artifacts_added
-        del summary  # so no attempt outlives its files through the next one or the checkpoint
+    with contextlib.ExitStack() as stack:
+        logs = None
+        if run_path is not None:
+            instance_dir = _instance_dir(run_path, state.instance)
+            logs = [
+                stack.enter_context(open(instance_dir / name, "a", encoding="utf-8"))
+                for name in (TRAJECTORIES, FAILURES)
+            ]
+        for summary in reflexion_loop(
+            state.memory,
+            instance=state.instance,
+            stage=stage,
+            attempts=config.attempts_per_stage,
+            tau=config.failure_trigger,
+            backend=backend,
+            base_seed=config.base_seed,
+        ):
+            if logs is not None and summary.outcome is not None:
+                _write_attempt(*logs, stage, summary.attempt, summary.outcome)
+            aborted += summary.status == "aborted"
+            added += summary.artifacts_added
+            del summary  # so no attempt outlives its lines through the next one or the checkpoint
     ckpt_seed = derive_seed(config.base_seed, "ckpt", stage, state.instance)
     ctx = CallContext(instance=state.instance, phase=PHASE_ADAPTATION)
     score = checkpoint(state.memory, ckpt_seed, backend, ctx=ctx)
@@ -615,7 +647,7 @@ def _run_stages(
                     _save_snapshot(
                         p.memory,
                         memory_hashes[p.instance],
-                        _stage_dir(run_path, p.instance, stage) / "memory",
+                        _instance_dir(run_path, p.instance) / f"stage_{stage:02d}" / "memory",
                         snapshots,
                     )
 
@@ -680,17 +712,18 @@ def evaluate(
 
     The seeds depend only on the base seed, the instance and the episode, so
     runs with the same config are paired per episode whatever their training.
-    Each instance's episodes are one job, run like a stage's jobs.
+    Each instance's episodes are one job, run like a stage's jobs. An episode
+    that errors is run once more, as a checkpoint is; a second error fails
+    the run.
     """
 
     def episodes(instance: int, memory: InstanceMemory) -> list[float]:
         ctx = CallContext(instance=instance, phase=PHASE_EVALUATION)
-        return [
-            run_frozen_episode(
-                memory, derive_seed(config.base_seed, "eval", instance, episode), backend, ctx=ctx
-            )
+        seeds = [
+            derive_seed(config.base_seed, "eval", instance, episode)
             for episode in range(1, config.eval_episodes_per_instance + 1)
         ]
+        return [_frozen_return(memory, seed, backend, ctx) for seed in seeds]
 
     with _job_pool(config, backend) as pool:
         returns = _run_jobs(pool, episodes, list(memories.items()), backend.ledger)

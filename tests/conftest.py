@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from forge import protocol
 from forge.agents import default_memory
@@ -25,6 +29,41 @@ def blank_observation(step_index: int = 0, **overrides) -> Observation:
 
 def flags_for(hosts: list[int]) -> tuple[bool, ...]:
     return tuple(i in hosts for i in range(13))
+
+
+# Any text an artifact admits (every character but the lone surrogates, which
+# UTF-8 cannot encode); the line breaks YAML emitters treat specially (NEL,
+# LS, PS) are drawn as often as the rest of the alphabet together.
+ANY_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from("\x85\u2028\u2029")
+)
+
+
+LOG_LINE = re.compile(r"stage=(\d\d) attempt=(\d\d) (step=\d\d .*)")
+
+
+def read_attempt_logs(run_dir: Path) -> tuple[dict[tuple[int, int, int], list[str]], list[dict]]:
+    """Every attempt's trajectory lines, prefix removed, by ``(instance, stage,
+    attempt)``, and every failure record, from a run directory's per-instance logs.
+
+    Asserts that each instance's lines come in stage and attempt order, so no
+    attempt's lines are split by another's.
+    """
+    trajectories: dict[tuple[int, int, int], list[str]] = {}
+    failures: list[dict] = []
+    for instance_dir in sorted((Path(run_dir) / "workspaces").glob("instance_*")):
+        instance = int(instance_dir.name.removeprefix("instance_"))
+        keys = []
+        lines = (instance_dir / protocol.TRAJECTORIES).read_text(encoding="utf-8").splitlines()
+        for line in lines:
+            stage, attempt, step = LOG_LINE.fullmatch(line).groups()
+            key = (instance, int(stage), int(attempt))
+            keys.append(key)
+            trajectories.setdefault(key, []).append(step)
+        assert keys == sorted(keys), f"{instance_dir.name}: lines out of attempt order"
+        text = (instance_dir / protocol.FAILURES).read_text(encoding="utf-8")
+        failures.extend(json.loads(line) for line in text.splitlines())
+    return trajectories, failures
 
 
 def write_penalty_lines(entries, path) -> None:

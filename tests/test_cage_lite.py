@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 import statistics
 
@@ -362,7 +363,7 @@ class TestEpisodes:
 
 
 class TestTrajectoryLog:
-    def test_stable_field_order(self, tmp_path):
+    def test_stable_field_order(self):
         records = env.run_policy_episode(env.sleep_policy, 12)[:3]
         line = env.format_step_record(records[0])
         fields = [part.split("=")[0] for part in line.split()]
@@ -375,9 +376,12 @@ class TestTrajectoryLog:
             "suspicious",
             "newfile",
         ]
-        path = tmp_path / "trajectory.log"
-        env.write_trajectory(records, path)
-        assert path.read_text().splitlines() == [env.format_step_record(r) for r in records]
+        out = io.StringIO()
+        env.write_trajectory(records, out, "")
+        env.write_trajectory(records, out, "stage=01 attempt=02 ")
+        lines = [env.format_step_record(r) for r in records]
+        prefixed = [f"stage=01 attempt=02 {line}" for line in lines]
+        assert out.getvalue().splitlines() == lines + prefixed
 
     def test_golden_monitor_line(self):
         observation = env.Observation(

@@ -112,7 +112,7 @@ class TestMock:
         assert wrong == []
 
 
-def http_with_script(script):
+def http_with_script(script, sleep=lambda s: None):
     calls = {"i": 0}
 
     def transport(url, headers, payload):
@@ -122,9 +122,7 @@ def http_with_script(script):
             raise result
         return result
 
-    return HttpConnector(
-        base_url="http://example", transport=transport, sleep=lambda s: None
-    )
+    return HttpConnector(base_url="http://example", transport=transport, sleep=sleep)
 
 
 def ok_body(content="Answer: Monitor"):
@@ -153,6 +151,25 @@ class TestHttp:
         with pytest.raises(ConnectorError) as err:
             connector.complete(request(), META)
         assert err.value.status == 503
+
+    def test_exhausted_call_backs_off_only_between_attempts(self):
+        slept: list[float] = []
+        connector = http_with_script([(503, {})], sleep=slept.append)
+        with pytest.raises(ConnectorError):
+            connector.complete(request(), META)
+        assert slept == [0.5, 1.0]
+
+    def test_recovery_backs_off_once_per_retry(self):
+        slept: list[float] = []
+        connector = http_with_script([(500, {}), (200, ok_body())], sleep=slept.append)
+        assert connector.complete(request(), META).retries == 1
+        assert slept == [0.5]
+        slept.clear()
+        connector = http_with_script(
+            [OSError("boom"), (429, {}), (200, ok_body())], sleep=slept.append
+        )
+        assert connector.complete(request(), META).retries == 2
+        assert slept == [0.5, 1.0]
 
     def test_non_retryable_status_fails_fast(self):
         connector = http_with_script([(401, {}), (200, ok_body())])

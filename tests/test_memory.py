@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ANY_TEXT
 from forge import memory as mem
 from forge.agents import ACTION_REFERENCE_TABLE, default_memory, default_persistent
 from forge.memory import (
@@ -29,13 +30,6 @@ EXAMPLE_TEXT = (
     "Observation: [{\"action\": \"Restore 6\", \"confidence\": 0.95}]\n"
     "Answer: Restore 6\n"
     "</example>"
-)
-
-# Any text an artifact admits (every character but the lone surrogates, which
-# UTF-8 cannot encode); the line breaks YAML emitters treat specially (NEL,
-# LS, PS) are drawn as often as the rest of the alphabet together.
-ANY_TEXT = st.text(
-    st.characters(exclude_categories=("Cs",)) | st.sampled_from("\x85\u2028\u2029")
 )
 
 

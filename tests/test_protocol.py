@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -13,24 +14,33 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-import yaml
+from hypothesis import given, settings
 
-from conftest import MonitorBackend, ScriptedRewardEnv
+from conftest import (
+    ANY_TEXT,
+    MonitorBackend,
+    ScriptedRewardEnv,
+    blank_observation,
+    read_attempt_logs,
+)
 from forge import agents, memory as memory_module, protocol, reflexion
 from forge.agents import LLMBackend, ScriptedBackend, default_memory, mock_responder
+from forge.cage_lite import ActionKind, BlueAction, StepRecord
 from forge.llm_connector import (
     ChatMessage,
     ChatRequest,
     ConnectorError,
     HttpConnector,
     MockConnector,
+    RequestMeta,
     TokenLedger,
     approx_tokens,
 )
 from forge.metrics import sweep_tau
-from forge.memory import InstanceMemory, Representation, Role
+from forge.memory import InstanceMemory, Origin, Representation, Role
 from forge.protocol import (
     CHECKPOINT_FAILED,
+    PHASE_EVALUATION,
     CheckpointResult,
     Condition,
     ConfigError,
@@ -376,41 +386,40 @@ class TestRunProtocol:
         assert_checkpoints_pure(protocol_calls)
 
     def test_determinism_of_reports_and_snapshots(self, tmp_path):
+        """Reports, memory snapshots and both per-instance logs replay byte for byte."""
         config = small_config()
         first = run_protocol(config, run_dir=tmp_path / "a")
         second = run_protocol(config, run_dir=tmp_path / "b")
         assert first.report.to_json() == second.report.to_json()
-        files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.yaml"))
-        files_b = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*.yaml"))
-        assert files_a == files_b
-        for rel in files_a:
-            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+        files_a = TestRunDirectoryWrites.files(tmp_path / "a")
+        assert any(rel.name == protocol.FAILURES for rel in files_a)
+        assert files_a == TestRunDirectoryWrites.files(tmp_path / "b")
 
     def test_outputs_pinned_across_versions(self, tmp_path):
-        """SHA-256 of the report and of every memory and failure snapshot.
+        """SHA-256 of the report, every memory snapshot and every failure record.
 
         The report's bytes changed last when the config lost its
-        ``max_workers`` key. The manifest changed last when a failure
-        snapshot's ``failing_step`` became the 1-based step of its trajectory
-        line, which moved that field and the ``aborted at step=`` line of
-        every ``snapshot.yaml`` by one. A change that alters any of these
-        bytes must say why and update them.
+        ``max_workers`` key. The manifest changed last when the failure
+        snapshots moved from one ``snapshot.yaml`` per aborted attempt to one
+        JSON line each in the instance's ``failures.jsonl``, with the same
+        values. A change that alters any of these bytes must say why and
+        update them.
         """
         run_protocol(small_config(representation=Representation.MIXED), run_dir=tmp_path)
         report = tmp_path / "final_report.json"
-        snapshots = sorted(tmp_path.glob("workspaces/*/*/memory/*.yaml")) + sorted(
-            tmp_path.glob("workspaces/*/*/*/snapshot.yaml")
-        )
+        memories = sorted(tmp_path.glob("workspaces/*/*/memory/*.yaml"))
+        failures = sorted(tmp_path.glob(f"workspaces/*/{protocol.FAILURES}"))
         manifest = "".join(
             f"{path.relative_to(tmp_path).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
-            for path in [report, *snapshots]
+            for path in [report, *memories, *failures]
         )
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "66b3deee281961169e75aa4eef8262d2c997ce4f9e902f009ca132b1f73b3225"
         )
-        assert len(snapshots) == 3 * 2 * 6 + 12  # memory files per stage, failure snapshots
+        assert len(memories) == 3 * 2 * 6  # memory files per instance and stage
+        assert len(read_attempt_logs(tmp_path)[1]) == 12  # failure records
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == (
-            "07b988fda8dc1255729e4f42d7165c6456238ba6292c99dae9e010115ec373cb"
+            "c4830fc34d7aa16ed922dc63bbec4bc29c5ca52bfb7e790fbccebc857ed90da3"
         )
 
     @pytest.mark.parametrize(
@@ -419,17 +428,17 @@ class TestRunProtocol:
             (
                 Representation.RULES,
                 "5acc108e2aed87033a4933a2336cced93e3e77e291583d8518ea205dff7290b9",
-                "eeec142e5514e12a6e237086eb540b57ba6b6037a51c60cc7160475c83cc02f4",
+                "31012b34dd3a9b6328130222c70d364d63898dd8120bf79efdbae9e067bc92f7",
             ),
             (
                 Representation.EXAMPLES,
                 "19f4c9000cc8869202c9188333e58dd214ea058a42d8ec84bf1bccebe7ca453e",
-                "b7419cc9d66befbcb1edf8f10ac2622ec0d5a34077b19885511e0ad756687f78",
+                "cb9bc3ce2af3bd7e24d1d0a37d1a58e2eb1d24ae5ca6b3dcfe73861a4b6182b0",
             ),
             (
                 Representation.MIXED,
                 "5a6c516573004653c089a9721d0c2752c2c7539693454b7d6a4ef36125af9a8c",
-                "969d8c2d15aec5cad81dab86b5a369d95c389f2471db809bd85715b3e3006019",
+                "75fb0bba2a9a5dd9bf82f8b00eeec1e9485874fc19b786a7b9caf67805e8ed3b",
             ),
         ],
     )
@@ -441,10 +450,11 @@ class TestRunProtocol:
         A scripted run makes no completions, so ``token_usage.log`` is empty
         and the whole directory, trajectories included, is deterministic. The
         report digests were re-pinned when the config lost its
-        ``max_workers`` key. The manifest digests were re-pinned when a
-        failure snapshot's ``failing_step`` became the 1-based step of its
-        trajectory line, which changed only the ``snapshot.yaml`` files. A
-        change that alters any of these bytes must say why and update them.
+        ``max_workers`` key. The manifest digests and the file count were
+        re-pinned when each attempt's ``trajectory.log`` and ``snapshot.yaml``
+        became lines of its instance's ``trajectories.log`` and
+        ``failures.jsonl``. A change that alters any of these bytes must say
+        why and update them.
         """
         config = small_config(backend="scripted", representation=representation)
         run_protocol(config, run_dir=tmp_path)
@@ -453,7 +463,7 @@ class TestRunProtocol:
             f"{path.relative_to(tmp_path).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
             for path in files
         )
-        assert len(files) == 56
+        assert len(files) == 5 + 3 * 2 * 6 + 3 * 2  # fixed files, memory files, logs
         assert hashlib.sha256((tmp_path / "final_report.json").read_bytes()).hexdigest() == report_sha
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == manifest_sha
 
@@ -532,14 +542,48 @@ class TestRunProtocol:
         assert [r.message for r in caplog.records if "learned nothing" in r.message] == [
             "instance 1 stage 1 attempt 1 learned nothing: provider down once"
         ]
-        attempt_dir = tmp_path / "workspaces" / "instance_01" / "stage_01" / "attempt_01"
-        assert (attempt_dir / "trajectory.log").exists()
-        assert (attempt_dir / "snapshot.yaml").exists()
+        trajectories, failures = read_attempt_logs(tmp_path)
+        assert (1, 1, 1) in trajectories
+        assert {"instance": 1, "stage": 1, "attempt": 1}.items() <= failures[0].items()
         # Each abort of an undisturbed run adds one rule; the failed one adds none.
         reference = run_protocol(config).report
         assert reference.artifacts_created == reference.aborted_attempts
         assert report.aborted_attempts == reference.aborted_attempts
         assert report.artifacts_created == reference.artifacts_created - 1
+
+    def test_one_evaluation_error_is_retried(self, tmp_path):
+        """A provider error in the final evaluation costs that episode a second
+        run, not the whole training."""
+        inner = MockConnector(responder=mock_responder)
+        failed: list[RequestMeta] = []
+
+        class FailsOnceInEvaluation:
+            def complete(self, request, meta=None):
+                if not failed and meta is not None and meta.phase == PHASE_EVALUATION:
+                    failed.append(meta)
+                    raise ConnectorError("provider down once")
+                return inner.complete(request, meta)
+
+        config = small_config()
+        report = run_protocol(config, run_dir=tmp_path, connector=FailsOnceInEvaluation()).report
+        assert failed
+        written = json.loads((tmp_path / "final_report.json").read_text(encoding="utf-8"))
+        assert written["eval_returns"] == report.to_dict()["eval_returns"]
+        assert report.eval_returns == run_protocol(config).report.eval_returns
+
+    def test_a_second_evaluation_error_fails_the_run(self, tmp_path):
+        inner = MockConnector(responder=mock_responder)
+
+        class EvaluationDown:
+            def complete(self, request, meta=None):
+                if meta is not None and meta.phase == PHASE_EVALUATION:
+                    raise ConnectorError("provider down")
+                return inner.complete(request, meta)
+
+        with pytest.raises(RunError, match="provider down"):
+            run_protocol(small_config(), run_dir=tmp_path, connector=EvaluationDown())
+        assert (tmp_path / "run_failed.txt").exists()
+        assert not (tmp_path / "final_report.json").exists()
 
     def test_token_reconciliation(self):
         result = run_protocol(small_config())
@@ -710,11 +754,11 @@ class TestRunDirectoryWrites:
         assert all(p.stat().st_nlink == 1 for p in copied.rglob("*") if p.is_file())
 
     def test_attempt_files(self, tmp_path):
-        """Every attempt that ran leaves its trajectory, every abort its snapshot.
+        """Every attempt that ran leaves its trajectory lines, every abort its
+        failure record.
 
         The connector fails the run's first call, the first decision of
-        instance 1's first attempt, so that attempt errors and leaves no
-        directory.
+        instance 1's first attempt, so that attempt errors and leaves no line.
         """
         inner = MockConnector(responder=mock_responder)
         calls = 0
@@ -730,23 +774,24 @@ class TestRunDirectoryWrites:
         config = small_config()
         run_protocol(config, run_dir=tmp_path, connector=FirstCallFails())
         report = json.loads((tmp_path / "final_report.json").read_text())
-        workspaces = tmp_path / "workspaces"
-        assert not (workspaces / "instance_01" / "stage_01" / "attempt_01").exists()
+        trajectories, failures = read_attempt_logs(tmp_path)
+        assert (1, 1, 1) not in trajectories
         active = [
             sum(1 for g in report["graduation_stage"].values() if g is None or g >= stage)
             for stage in range(1, config.stages + 1)
         ]
-        attempts = sorted(workspaces.glob("*/*/attempt_*"))
-        assert len(attempts) == sum(active) * config.attempts_per_stage - 1
-        for attempt in attempts:
-            lines = (attempt / "trajectory.log").read_text().splitlines()
-            assert lines[0].startswith("step=01 action=")
-            snapshot = attempt / "snapshot.yaml"
-            if snapshot.exists():
-                assert yaml.safe_load(snapshot.read_text())["failing_step"] == len(lines)
+        assert len(trajectories) == sum(active) * config.attempts_per_stage - 1
+        for lines in trajectories.values():
+            steps = [f"step={n:02d} " for n in range(1, len(lines) + 1)]
+            assert [line[:8] for line in lines] == steps
+        for record in failures:
+            key = (record["instance"], record["stage"], record["attempt"])
+            assert record["failing_step"] == len(trajectories[key])
+        keys = [(r["instance"], r["stage"], r["attempt"]) for r in failures]
+        assert len(set(keys)) == len(keys)
         for stage in report["stage_reports"]:
-            snapshots = list(workspaces.glob(f"*/stage_{stage['stage']:02d}/*/snapshot.yaml"))
-            assert len(snapshots) == stage["aborted_attempts"]
+            aborted = [r for r in failures if r["stage"] == stage["stage"]]
+            assert len(aborted) == stage["aborted_attempts"]
         assert report["aborted_attempts"] > 0
 
     @pytest.mark.parametrize("backend", ["scripted", "mock"])
@@ -765,7 +810,57 @@ class TestRunDirectoryWrites:
         monkeypatch.setattr(reflexion, "run_attempt", recording)
         run_protocol(small_config(backend=backend), run_dir=tmp_path)
         assert len(outcomes) > 12
-        assert list(tmp_path.glob("workspaces/*/*/*/snapshot.yaml"))
+        assert read_attempt_logs(tmp_path)[1]
+
+    def test_inodes_follow_from_the_run_shape(self, tmp_path):
+        """No directory or file per attempt: every count follows from the run's shape.
+
+        Each instance has two logs and, per stage, a stage directory holding
+        a memory directory; each distinct memory of the run has six snapshot
+        files, hard linked wherever an equal memory appears again.
+        """
+        config = small_config()
+        result = run_protocol(config, run_dir=tmp_path)
+        paths = list(tmp_path.rglob("*"))
+        directories = [p for p in paths if p.is_dir()]
+        inodes = {p.stat().st_ino for p in paths if p.is_file()}
+        distinct = {h for r in result.report.stage_reports for h in r.memory_hashes.values()}
+        fixed = 3 + config.stages  # config, report, token log, stage summaries
+        # workspaces/, then per instance its directory and two per stage
+        assert len(directories) == 1 + config.instances * (1 + 2 * config.stages)
+        assert len(inodes) == fixed + 2 * config.instances + 6 * len(distinct)
+        assert 1 < len(distinct) < config.instances * config.stages
+
+    @settings(max_examples=60, deadline=None)
+    @given(ANY_TEXT)
+    def test_a_failure_record_is_one_line_that_reads_back(self, text):
+        """``failures.jsonl`` escapes every line break a snapshot text may hold
+        (U+0085, U+2028, U+2029 among them), so ``str.splitlines`` sees one
+        line per record and each record reads back unchanged."""
+        record = StepRecord(BlueAction(ActionKind.MONITOR), -3.0, blank_observation(7))
+        snapshot = reflexion.FailureSnapshot(
+            trajectory=(record,),
+            memory_at_failure=default_memory(),
+            origin=Origin(stage=2, attempt=3, instance=4),
+            failing_host=5,
+        )
+        vars(snapshot)["text"] = text  # where the cached property keeps its value
+        outcome = reflexion.AttemptOutcome(-3.0, snapshot.trajectory, snapshot)
+        trajectories, failures = io.StringIO(), io.StringIO()
+        for _ in range(2):
+            protocol._write_attempt(trajectories, failures, 2, 3, outcome)
+        expected = {
+            "instance": 4,
+            "stage": 2,
+            "attempt": 3,
+            "failing_step": 7,
+            "failing_reward": -3.0,
+            "failing_host": 5,
+            "snapshot_text": text,
+        }
+        lines = failures.getvalue().splitlines()
+        assert [json.loads(line) for line in lines] == [expected, expected]
+        assert len(trajectories.getvalue().splitlines()) == 2
 
     def test_failure_text_serialized_once_per_aborted_attempt(self, tmp_path, monkeypatch):
         calls = []
@@ -788,10 +883,7 @@ class TestRunDirectoryWrites:
             run_dir=tmp_path,
             connector=MockConnector(responder=recording_responder),
         )
-        snapshots = [
-            yaml.safe_load(path.read_text(encoding="utf-8"))
-            for path in sorted(tmp_path.glob("workspaces/*/*/*/snapshot.yaml"))
-        ]
+        snapshots = read_attempt_logs(tmp_path)[1]
         assert snapshots, "expected aborted attempts on the mock backend"
         assert len(calls) == len(snapshots)
         texts = sorted(s["snapshot_text"] for s in snapshots)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import read_attempt_logs
 from forge import cage_lite, protocol
 from forge.agents import ScriptedBackend, default_memory
 from forge.reflexion import AttemptStatus, run_attempt
@@ -63,7 +64,7 @@ def test_a_run_directory_is_written_through_the_wrapped_names(tmp_path):
     with spans.instrument(tracer):
         protocol.run_protocol(config, run_dir=tmp_path)
     names = [s.name for s in tracer.spans()]
-    trajectories = len(list(tmp_path.rglob("trajectory.log")))
+    trajectories = len(read_attempt_logs(tmp_path)[0])
     assert trajectories > 0
     assert names.count("cage_lite.write_trajectory") == trajectories
     assert names.count("memory.save_workspace") > 0
