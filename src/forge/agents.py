@@ -129,19 +129,6 @@ class CallContext:
         return RequestMeta(instance=self.instance, role=role.value, phase=self.phase)
 
 
-@dataclass(frozen=True)
-class Analysis:
-    severity: str
-    summary: str
-    recommended_focus: str
-
-
-@dataclass(frozen=True)
-class RankedAction:
-    action: BlueAction
-    confidence: float
-
-
 def clause_matches(clause: Clause, observation: Observation, confirmed_host: int | None) -> bool:
     """Whether ``clause`` fires; ``confirmed_host`` is ``observation.confirmed_host()``."""
     anomalous, suspicious, new_file = observation.flags(clause.host)
@@ -317,19 +304,6 @@ class ScriptedBackend:
         return host, ("Restore" if new_file else "Remove")
 
 
-def _analysis_text(analysis: Analysis) -> str:
-    return (
-        f"Severity: {analysis.severity}\nSummary: {analysis.summary}\n"
-        f"Focus: {analysis.recommended_focus}"
-    )
-
-
-def _ranking_text(ranking: list[RankedAction]) -> str:
-    return json.dumps(
-        [{"action": str(r.action), "confidence": r.confidence} for r in ranking]
-    )
-
-
 # ---------------------------------------------------------------------------
 # LLM backend
 # ---------------------------------------------------------------------------
@@ -462,13 +436,13 @@ class LLMBackend:
         name = tool.group(1).lower()
         host = int(tool.group(2))
         if name == "analyse":
-            return _analysis_text(self.analyse(host, observation, memory, ctx))
+            return self.analyse(host, observation, memory, ctx)
         context = {
             "host": host,
             "severity": (tool.group(3) or "medium").lower(),
             "situation": (tool.group(4) or "unconfirmed").lower(),
         }
-        return _ranking_text(self.rank_actions(context, memory, ctx))
+        return self.rank_actions(context, memory, ctx)
 
     def analyse(
         self,
@@ -476,7 +450,8 @@ class LLMBackend:
         observation: Observation,
         memory: InstanceMemory,
         ctx: CallContext | None = None,
-    ) -> Analysis:
+    ) -> str:
+        """The Analyst's reply as three lines: ``Severity:``, ``Summary:`` and ``Focus:``."""
         ctx = ctx or CallContext()
         messages = [
             ChatMessage("system", self._system_prompt(Role.ANALYST, memory)),
@@ -486,39 +461,42 @@ class LLMBackend:
         severity_match = _SEVERITY_RE.search(text)
         if severity_match is None:
             logger.warning("analyst output unparseable; defaulting to severity none")
-            return Analysis("none", "analysis unavailable", "monitoring")
+            return "Severity: none\nSummary: analysis unavailable\nFocus: monitoring"
         summary_match = _SUMMARY_RE.search(text)
         focus_match = _FOCUS_RE.search(text)
-        return Analysis(
-            severity=severity_match.group(1).lower(),
-            summary=summary_match.group(1).strip() if summary_match else "",
-            recommended_focus=focus_match.group(1).lower() if focus_match else "monitoring",
+        return (
+            f"Severity: {severity_match.group(1).lower()}\n"
+            f"Summary: {summary_match.group(1).strip() if summary_match else ''}\n"
+            f"Focus: {focus_match.group(1).lower() if focus_match else 'monitoring'}"
         )
 
     def rank_actions(
         self, context: dict, memory: InstanceMemory, ctx: CallContext | None = None
-    ) -> list[RankedAction]:
+    ) -> str:
+        """The Action Chooser's valid candidates as JSON, most confident first.
+
+        A reply with none is read as Monitor at confidence 1.0.
+        """
         ctx = ctx or CallContext()
         messages = [
             ChatMessage("system", self._system_prompt(Role.ACTION_CHOOSER, memory)),
             ChatMessage("user", json.dumps(context, sort_keys=True)),
         ]
         text = self._complete(Role.ACTION_CHOOSER, messages, ctx).content
-        ranking: list[RankedAction] = []
+        ranking: list[dict] = []
         try:
-            items = json.loads(text)
-            for item in items:
+            for item in json.loads(text):
                 action = parse_action("Answer: " + str(item.get("action", "")))
-                if action is None:
-                    continue
-                ranking.append(RankedAction(action, float(item.get("confidence", 0.0))))
+                if action is not None:
+                    confidence = float(item.get("confidence", 0.0))
+                    ranking.append({"action": str(action), "confidence": confidence})
         except (ValueError, TypeError, AttributeError):
             ranking = []
         if not ranking:
             logger.warning("action chooser output unparseable; defaulting to Monitor")
-            ranking = [RankedAction(BlueAction(ActionKind.MONITOR), 1.0)]
-        ranking.sort(key=lambda r: -r.confidence)
-        return ranking
+            ranking = [{"action": "Monitor", "confidence": 1.0}]
+        ranking.sort(key=lambda r: -r["confidence"])
+        return json.dumps(ranking)
 
     # -- learning ----------------------------------------------------------
 

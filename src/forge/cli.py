@@ -32,7 +32,7 @@ from .metrics import (
     sweep_tau,
     trigger_analysis,
 )
-from .protocol import ConfigError, RunError, check_run_dir, load_config, run_protocol
+from .protocol import ConfigError, RunError, load_config, run_protocol
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +40,6 @@ logger = logging.getLogger(__name__)
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     run_dir = Path(args.run_dir)
-    check_run_dir(run_dir)
     result = run_protocol(config, run_dir=run_dir, config_source=args.config)
     summary = summarize_report(result.report.to_dict())
     print(f"session written to {run_dir}")
@@ -148,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one training session from a config file")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--run-dir", required=True)
+    run_p.add_argument(
+        "--run-dir", required=True, help="session directory; must be new or empty"
+    )
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run the protocol once per failure trigger")

@@ -333,17 +333,12 @@ def workspace_texts(memory: InstanceMemory) -> dict[str, str]:
 
 
 def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
-    """Write the snapshot files of ``memory`` into ``directory``.
-
-    Each file is created anew, never written through: an existing file at
-    the path may be a hard link that another snapshot shares.
-    """
+    """Write the snapshot files of ``memory`` into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for name, text in workspace_texts(memory).items():
         path = directory / name
-        path.unlink(missing_ok=True)
         path.write_text(text, encoding="utf-8")
         written.append(path)
     return written

@@ -146,15 +146,11 @@ class SessionSummary:
     sd_return: float
     graduated: int
     graduation_distribution: dict[str, int]
-    stage_checkpoint_means: list[float]
-    stage_checkpoint_sds: list[float]
     volatility_per_instance_mean: float
     volatility_pooled: float
     tokens: dict[str, dict[str, int]]
     aborted_attempts: int
     artifacts_created: int
-    major_failure_rate: float
-    catastrophic_failure_rate: float
 
 
 def summarize_report(report_data: dict) -> SessionSummary:
@@ -162,14 +158,6 @@ def summarize_report(report_data: dict) -> SessionSummary:
     eval_returns = {int(k): list(v) for k, v in report_data["eval_returns"].items()}
     pooled = [r for rs in eval_returns.values() for r in rs]
     history = {int(k): v for k, v in report_data["checkpoint_history"].items()}
-
-    per_stage: dict[int, list[float]] = {}
-    for scores in history.values():
-        for stage_index, score in enumerate(scores):
-            if score is not None:
-                per_stage.setdefault(stage_index, []).append(score)
-    stage_means = [_mean(per_stage[i]) for i in sorted(per_stage)]
-    stage_sds = [_sd(per_stage[i]) for i in sorted(per_stage)]
 
     # Volatility of checkpoint scores across stages, both conventions:
     # per-instance SD averaged over instances, and the SD of the pooled
@@ -191,17 +179,11 @@ def summarize_report(report_data: dict) -> SessionSummary:
         sd_return=_sd(pooled),
         graduated=sum(1 for s in graduation_stage.values() if s is not None),
         graduation_distribution=dict(report_data["graduation_distribution"]),
-        stage_checkpoint_means=stage_means,
-        stage_checkpoint_sds=stage_sds,
         volatility_per_instance_mean=_mean(per_instance_sds),
         volatility_pooled=_sd(pooled_scores),
         tokens=report_data["tokens"],
         aborted_attempts=int(report_data["aborted_attempts"]),
         artifacts_created=int(report_data["artifacts_created"]),
-        major_failure_rate=tail_risk(pooled, MAJOR_FAILURE_THRESHOLD) if pooled else 0.0,
-        catastrophic_failure_rate=tail_risk(pooled, CATASTROPHIC_FAILURE_THRESHOLD)
-        if pooled
-        else 0.0,
     )
 
 

@@ -394,13 +394,20 @@ def run_protocol(
     connector=None,
     config_source: str | Path | None = None,
 ) -> RunResult:
+    """Run the protocol, writing its record into ``run_dir`` when one is given.
+
+    ``run_dir`` must be new or empty: otherwise :class:`ConfigError` is raised
+    before anything is written, so a run directory holds one run's files only.
+    """
+    run_path: Path | None = Path(run_dir) if run_dir is not None else None
+    if run_path is not None:
+        check_run_dir(run_path)
     backend = build_backend(config, connector=connector)
     ledger = backend.ledger
     population = [
         InstanceState(instance=i, memory=default_memory(config.memory_capacity))
         for i in range(1, config.instances + 1)
     ]
-    run_path: Path | None = Path(run_dir) if run_dir is not None else None
     if run_path is not None:
         run_path.mkdir(parents=True, exist_ok=True)
         if config_source is not None and Path(config_source).exists():
@@ -408,13 +415,8 @@ def run_protocol(
         (run_path / "config.yaml").write_text(
             yaml.safe_dump(config_to_dict(config), sort_keys=True), encoding="utf-8"
         )
-        # A run into a used directory starts its logs afresh, never appending to
-        # an old run's lines nor writing through an inode another path shares.
         for state in population:
-            instance_dir = _instance_dir(run_path, state.instance)
-            instance_dir.mkdir(parents=True, exist_ok=True)
-            for name in (TRAJECTORIES, FAILURES):
-                (instance_dir / name).unlink(missing_ok=True)
+            _instance_dir(run_path, state.instance).mkdir(parents=True)
 
     try:
         result = _run_stages(config, backend, population, ledger, run_path)
@@ -681,8 +683,7 @@ def _save_snapshot(
     broadcast every active instance shares the champion's memory, and a
     graduate's never changes, so the first directory of a hash in a run gets
     written files and every later one hard links to them. Where the file
-    system cannot link, the file is copied. A path is unlinked before it is
-    linked or copied, so no write goes through an inode another path shares.
+    system cannot link, the file is copied.
     """
     sources = snapshots.get(digest)
     if sources is None:
@@ -691,7 +692,6 @@ def _save_snapshot(
     directory.mkdir(parents=True, exist_ok=True)
     for source in sources:
         target = directory / source.name
-        target.unlink(missing_ok=True)
         try:
             os.link(source, target)
         except OSError:

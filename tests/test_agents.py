@@ -324,6 +324,53 @@ class TestLLMBackend:
             Role.PLANNER.value,
         ]
 
+    @pytest.mark.parametrize(
+        "tool, reply, result",
+        [
+            (
+                "analyse host=6",
+                "Severity: HIGH\nSummary:  live intrusion  \nFocus: Containment now",
+                "Severity: high\nSummary: live intrusion\nFocus: containment",
+            ),
+            (
+                "analyse host=6",
+                "I cannot tell.",
+                "Severity: none\nSummary: analysis unavailable\nFocus: monitoring",
+            ),
+            (
+                "rank_actions host=6 severity=high situation=confirmed",
+                '[{"action": "Remove 3", "confidence": 0.2},'
+                ' {"action": "Restore 13", "confidence": 0.99},'
+                ' {"action": "Restore 6", "confidence": 0.9},'
+                ' {"action": "monitor", "confidence": 0.5}]',
+                '[{"action": "Restore 6", "confidence": 0.9},'
+                ' {"action": "Monitor", "confidence": 0.5},'
+                ' {"action": "Remove 3", "confidence": 0.2}]',
+            ),
+            (
+                "rank_actions host=6",
+                "Restore host 6, surely.",
+                '[{"action": "Monitor", "confidence": 1.0}]',
+            ),
+        ],
+    )
+    def test_tool_result_text(self, memory, tool, reply, result):
+        """The planner reads a sub-agent's reply back in one normalized form."""
+
+        def responder(request: ChatRequest) -> str:
+            system = request.messages[0].content
+            if "You are the Analyst" in system or "You are the Action Chooser" in system:
+                return reply
+            if len(request.messages) == 2:
+                return f"Tool: {tool}"
+            return "Answer: Monitor"
+
+        connector = RecordingConnector(MockConnector(responder=responder))
+        backend = LLMBackend(connector)
+        backend.decide(blank_observation(), memory, CallContext())
+        assert connector.roles[::2] == [Role.PLANNER.value] * 2
+        assert connector.requests[-1].messages[-1].content == f"Observation: {result}"
+
     def test_subagent_call_budget_is_bounded(self, memory):
         def responder(request: ChatRequest) -> str:
             system = request.messages[0].content

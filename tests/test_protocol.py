@@ -711,32 +711,29 @@ class TestRunDirectoryWrites:
             if p.is_file() and p.name != "token_usage.log"
         }
 
-    def test_second_run_into_a_directory_writes_no_shared_file(self, tmp_path):
+    def test_a_used_run_directory_is_refused(self, tmp_path):
+        """A run directory holds one run: a second run into it writes nothing."""
         run_dir = tmp_path / "run"
         first = small_config(stages=3)
         run_protocol(first, run_dir=run_dir)
-        before = self.files(run_dir)
-        inodes = {rel: (run_dir / rel).stat().st_ino for rel in before}
 
-        second = replace(first, instances=2, base_seed=first.base_seed + 1)
-        run_protocol(second, run_dir=run_dir)
-        run_protocol(second, run_dir=tmp_path / "fresh")
-        after = self.files(run_dir)
-        fresh = self.files(tmp_path / "fresh")
+        def state() -> dict[Path, tuple[bytes, int] | None]:
+            return {
+                p: (p.read_bytes(), p.stat().st_ino) if p.is_file() else None
+                for p in run_dir.rglob("*")
+            }
 
-        only_first = before.keys() - fresh.keys()
-        # The case this guards: a path the second run rewrites with new bytes
-        # shared its inode with a path that only the first run wrote.
-        assert any(
-            before[rel] != fresh[rel] and inodes[rel] == inodes[other]
-            for rel in before.keys() & fresh.keys()
-            for other in only_first
-        )
-        assert after.keys() == before.keys() | fresh.keys()
-        for rel, data in fresh.items():
-            assert after[rel] == data, rel
-        for rel in only_first:
-            assert after[rel] == before[rel], rel
+        before = state()
+        for config in (replace(first, instances=2), first):
+            with pytest.raises(ConfigError, match="not empty"):
+                run_protocol(config, run_dir=run_dir)
+        assert state() == before
+        assert not (run_dir / "run_failed.txt").exists()
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        run_protocol(first, run_dir=empty)
+        assert self.files(empty) == self.files(run_dir)
 
     def test_snapshots_are_copied_where_links_fail(self, tmp_path, monkeypatch):
         config = small_config(backend="scripted", stages=3)
