@@ -94,4 +94,10 @@ def render_study_table(result: DirectionalStudyResult) -> str:
         f"ordering holds in {result.ordering_fraction:.0%} of seeds; "
         f"pooled broadcast-isolated gap {result.forge_reflexion_gap:+.2f}"
     )
+    # "ordered" counts a tie as in order, so the seeds are also split by
+    # strict wins, exact ties and losses.
+    wins = sum(1 for c in result.comparisons if c.forge_mean > c.reflexion_mean)
+    ties = sum(1 for c in result.comparisons if c.forge_mean == c.reflexion_mean)
+    losses = len(result.comparisons) - wins - ties
+    lines.append(f"broadcast against isolated: {wins} won, {ties} tied, {losses} lost")
     return "\n".join(lines)

@@ -82,7 +82,6 @@ class RequestMeta:
 
 @dataclass(frozen=True, slots=True)
 class TokenLogEntry:
-    timestamp: float
     instance: int
     role: str
     phase: str
@@ -91,8 +90,7 @@ class TokenLogEntry:
 
     def format(self) -> str:
         return (
-            f"timestamp={self.timestamp:.6f}"
-            f" instance={self.instance}"
+            f"instance={self.instance}"
             f" role={self.role}"
             f" phase={self.phase}"
             f" prompt_tokens={self.prompt_tokens}"
@@ -103,7 +101,6 @@ class TokenLogEntry:
     def parse(cls, line: str) -> "TokenLogEntry":
         fields = dict(part.split("=", 1) for part in line.split())
         return cls(
-            timestamp=float(fields["timestamp"]),
             instance=int(fields["instance"]),
             role=fields["role"],
             phase=fields["phase"],
@@ -136,7 +133,6 @@ class TokenLedger:
 
     def record(self, meta: RequestMeta, usage: TokenUsage) -> None:
         entry = TokenLogEntry(
-            timestamp=time.time(),
             instance=meta.instance,
             role=meta.role,
             phase=meta.phase,

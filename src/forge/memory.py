@@ -300,12 +300,7 @@ def replace_dynamic(dst: InstanceMemory, src: InstanceMemory) -> InstanceMemory:
     return dst
 
 
-# On-disk layout mirrors the per-role knowledge files consumed as prompt
-# sections: one file per (role, kind) under a memory directory.
-_KIND_FILENAME = {
-    ArtifactKind.RULE: "reflection_knowledge.yaml",
-    ArtifactKind.EXAMPLE: "reflection_examples.yaml",
-}
+SNAPSHOT_FILE = "artifacts.yaml"
 
 
 def dump_yaml(data) -> str:
@@ -318,48 +313,39 @@ def dump_yaml(data) -> str:
     return yaml.dump(data, Dumper=CSafeDumper, sort_keys=True, allow_unicode=True)
 
 
-def workspace_texts(memory: InstanceMemory) -> dict[str, str]:
-    """File name -> YAML text of each (role, kind) snapshot file of ``memory``."""
-    texts = {}
-    for role in ACTING_ROLES:
-        for kind, filename in _KIND_FILENAME.items():
-            artifacts = [
-                {"seq": i, **a.to_dict()}
-                for i, a in enumerate(memory.dynamic[role])
-                if a.kind is kind
-            ]
-            texts[f"{role.value}_{filename}"] = dump_yaml(artifacts)
-    return texts
-
-
 def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
-    """Write the snapshot files of ``memory`` into ``directory``."""
+    """Write ``memory``'s snapshot into ``directory`` and return the path written.
+
+    The snapshot is the ``dynamic`` part of :meth:`InstanceMemory.to_dict`:
+    each acting role's artifacts in bucket order.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in workspace_texts(memory).items():
-        path = directory / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    path = directory / SNAPSHOT_FILE
+    path.write_text(dump_yaml(memory.to_dict()["dynamic"]), encoding="utf-8")
+    return [path]
 
 
 def load_workspace(
     directory: str | Path, persistent: dict[Role, str], capacity: int = DEFAULT_CAPACITY
 ) -> InstanceMemory:
-    directory = Path(directory)
-    memory = InstanceMemory(persistent=dict(persistent), capacity=capacity)
-    for role in ACTING_ROLES:
-        artifacts: list[tuple[int, MemoryArtifact]] = []
-        for kind, filename in _KIND_FILENAME.items():
-            path = directory / f"{role.value}_{filename}"
-            if not path.exists():
-                continue
-            raw = yaml.safe_load(path.read_text(encoding="utf-8")) or []
-            for item in raw:
-                # Files split artifacts by kind; the seq field restores the
-                # interleaved insertion order of the role's bucket.
-                artifacts.append((int(item.get("seq", 0)), MemoryArtifact.from_dict(item)))
-        artifacts.sort(key=lambda pair: pair[0])
-        memory.dynamic[role] = [a for _, a in artifacts]
-    return memory
+    """The memory that :func:`save_workspace` wrote into ``directory``.
+
+    The snapshot holds only the artifacts, so given the memory's persistent
+    text and capacity the result has its content hash. A top level that is
+    not a mapping from each acting role's name to a list is a ``ValueError``
+    naming the file.
+    """
+    path = Path(directory) / SNAPSHOT_FILE
+    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    names = [role.value for role in ACTING_ROLES]
+    if (
+        not isinstance(raw, dict)
+        or set(raw) != set(names)
+        or not all(isinstance(items, list) for items in raw.values())
+    ):
+        raise ValueError(f"{path}: expected a mapping from {', '.join(names)} to lists")
+    dynamic = {
+        role: [MemoryArtifact.from_dict(item) for item in raw[role.value]] for role in ACTING_ROLES
+    }
+    return InstanceMemory(persistent=dict(persistent), dynamic=dynamic, capacity=capacity)

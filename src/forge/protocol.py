@@ -575,8 +575,8 @@ def _run_stages(
     checkpoint_history: dict[int, list[float | None]] = {
         p.instance: [] for p in population
     }
-    # Memory hash -> the snapshot files first written for it in this run.
-    snapshots: dict[str, list[Path]] = {}
+    # Memory hash -> the snapshot file first written for it in this run.
+    snapshots: dict[str, Path] = {}
 
     with _job_pool(config, backend) as pool:
         for stage in range(1, config.stages + 1):
@@ -675,27 +675,26 @@ def _run_stages(
 
 
 def _save_snapshot(
-    memory: InstanceMemory, digest: str, directory: Path, snapshots: dict[str, list[Path]]
+    memory: InstanceMemory, digest: str, directory: Path, snapshots: dict[str, Path]
 ) -> None:
-    """Put the snapshot files of ``memory``, whose hash is ``digest``, into ``directory``.
+    """Put the snapshot file of ``memory``, whose hash is ``digest``, into ``directory``.
 
     Equal content hashes mean equal memories, hence equal files. After a
     broadcast every active instance shares the champion's memory, and a
     graduate's never changes, so the first directory of a hash in a run gets
-    written files and every later one hard links to them. Where the file
+    a written file and every later one a hard link to it. Where the file
     system cannot link, the file is copied.
     """
-    sources = snapshots.get(digest)
-    if sources is None:
-        snapshots[digest] = save_workspace(memory, directory)
+    source = snapshots.get(digest)
+    if source is None:
+        [snapshots[digest]] = save_workspace(memory, directory)
         return
     directory.mkdir(parents=True, exist_ok=True)
-    for source in sources:
-        target = directory / source.name
-        try:
-            os.link(source, target)
-        except OSError:
-            shutil.copyfile(source, target)
+    target = directory / source.name
+    try:
+        os.link(source, target)
+    except OSError:
+        shutil.copyfile(source, target)
 
 
 def _usage_dict(

@@ -124,7 +124,19 @@ class TestStudyVerb:
         assert lines[0].split() == ["seed", "broadcast", "isolated", "zero-shot", "ordered"]
         assert [line.split()[0] for line in lines[1:3]] == ["3", "4"]
         assert lines[3].startswith("ordering holds in ")
-        assert len(lines) == 4
+        assert re.fullmatch(r"broadcast against isolated: \d+ won, \d+ tied, \d+ lost", lines[4])
+        assert len(lines) == 5
+
+    def test_table_counts_strict_wins_exact_ties_and_losses(self):
+        # (seed, broadcast, isolated, zero-shot): a win, a tie and a loss
+        means = [(1, -19.0, -25.0, -50.0), (2, -20.0, -20.0, -50.0), (3, -30.0, -21.0, -50.0)]
+        result = experiments.DirectionalStudyResult(
+            comparisons=[experiments.SeedComparison(*row) for row in means]
+        )
+        lines = experiments.render_study_table(result).splitlines()
+        # A tie counts as ordered, and only as tied against isolated.
+        assert [line.split()[-1] for line in lines[1:4]] == ["yes", "yes", "NO"]
+        assert lines[-1] == "broadcast against isolated: 1 won, 1 tied, 1 lost"
 
     def test_run_sizes_come_from_the_config(self, tmp_path, monkeypatch):
         configs = []

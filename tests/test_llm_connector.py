@@ -286,10 +286,9 @@ class TestLedger:
         assert {i: ledger.totals(instance=i) for i in (1, 2, 3)} == totals
 
     def test_log_line_format(self):
-        entry = TokenLogEntry(1.5, 2, "planner", "evaluation", 10, 4)
+        entry = TokenLogEntry(2, "planner", "evaluation", 10, 4)
         line = entry.format()
         assert line.split() == [
-            "timestamp=1.500000",
             "instance=2",
             "role=planner",
             "phase=evaluation",

@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +157,7 @@ class TestArtifactValidation:
     def test_out_of_range_clause_in_a_workspace_fails_its_load(self, memory, tmp_path):
         memory.append(rule(6))
         mem.save_workspace(memory, tmp_path)
-        path = tmp_path / "planner_reflection_knowledge.yaml"
+        path = tmp_path / mem.SNAPSHOT_FILE
         text = path.read_text(encoding="utf-8")
         assert "host: 6" in text
         path.write_text(text.replace("host: 6", "host: 13"), encoding="utf-8")
@@ -337,12 +338,35 @@ class TestPersistence:
         memory.append(example(2))
         memory.append(rule(3))
         paths = mem.save_workspace(memory, tmp_path)
-        assert len(paths) == 6
-        names = {p.name for p in paths}
-        assert "planner_reflection_knowledge.yaml" in names
-        assert "analyst_reflection_examples.yaml" in names
+        assert paths == [tmp_path / "artifacts.yaml"]
+        assert [p.name for p in tmp_path.iterdir()] == ["artifacts.yaml"]
         loaded = mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
         assert loaded == memory
+
+    def test_snapshot_is_the_dynamic_part_of_the_hashed_dict(self, memory, tmp_path):
+        memory.append(rule(1))
+        memory.append(example(2))
+        mem.save_workspace(memory, tmp_path)
+        path = tmp_path / "artifacts.yaml"
+        assert yaml.safe_load(path.read_text(encoding="utf-8")) == memory.to_dict()["dynamic"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "- planner\n",
+            "planner: []\nanalyst: []\n",
+            "planner: []\nanalyst: []\naction_chooser: []\nreflector: []\n",
+            "planner: []\nanalyst: {}\naction_chooser: []\n",
+        ],
+        ids=["empty", "list", "missing-role", "extra-role", "not-a-list"],
+    )
+    def test_malformed_top_level_names_the_file(self, tmp_path, text):
+        path = tmp_path / "artifacts.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="artifacts.yaml") as excinfo:
+            mem.load_workspace(tmp_path, default_persistent())
+        assert not isinstance(excinfo.value, ArtifactValidationError)
 
 
 class TestReplaceDynamic:

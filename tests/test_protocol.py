@@ -24,7 +24,13 @@ from conftest import (
     read_attempt_logs,
 )
 from forge import agents, memory as memory_module, protocol, reflexion
-from forge.agents import LLMBackend, ScriptedBackend, default_memory, mock_responder
+from forge.agents import (
+    LLMBackend,
+    ScriptedBackend,
+    default_memory,
+    default_persistent,
+    mock_responder,
+)
 from forge.cage_lite import ActionKind, BlueAction, StepRecord
 from forge.llm_connector import (
     ChatMessage,
@@ -37,7 +43,7 @@ from forge.llm_connector import (
     approx_tokens,
 )
 from forge.metrics import sweep_tau
-from forge.memory import InstanceMemory, Origin, Representation, Role
+from forge.memory import ArtifactKind, InstanceMemory, Origin, Representation, Role
 from forge.protocol import (
     CHECKPOINT_FAILED,
     PHASE_EVALUATION,
@@ -386,7 +392,7 @@ class TestRunProtocol:
         assert_checkpoints_pure(protocol_calls)
 
     def test_determinism_of_reports_and_snapshots(self, tmp_path):
-        """Reports, memory snapshots and both per-instance logs replay byte for byte."""
+        """The whole run directory replays byte for byte, token log included."""
         config = small_config()
         first = run_protocol(config, run_dir=tmp_path / "a")
         second = run_protocol(config, run_dir=tmp_path / "b")
@@ -399,11 +405,10 @@ class TestRunProtocol:
         """SHA-256 of the report, every memory snapshot and every failure record.
 
         The report's bytes changed last when the config lost its
-        ``max_workers`` key. The manifest changed last when the failure
-        snapshots moved from one ``snapshot.yaml`` per aborted attempt to one
-        JSON line each in the instance's ``failures.jsonl``, with the same
-        values. A change that alters any of these bytes must say why and
-        update them.
+        ``max_workers`` key. The manifest changed last when each memory
+        snapshot became one ``artifacts.yaml`` instead of six files split by
+        role and kind, with the same artifacts. A change that alters any of
+        these bytes must say why and update them.
         """
         run_protocol(small_config(representation=Representation.MIXED), run_dir=tmp_path)
         report = tmp_path / "final_report.json"
@@ -416,10 +421,10 @@ class TestRunProtocol:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "66b3deee281961169e75aa4eef8262d2c997ce4f9e902f009ca132b1f73b3225"
         )
-        assert len(memories) == 3 * 2 * 6  # memory files per instance and stage
+        assert len(memories) == 3 * 2  # one memory file per instance and stage
         assert len(read_attempt_logs(tmp_path)[1]) == 12  # failure records
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == (
-            "c4830fc34d7aa16ed922dc63bbec4bc29c5ca52bfb7e790fbccebc857ed90da3"
+            "ebbd023874dcca3dff6dcc3e731c3e56b127c19a9de9a56af53b64f310ae303f"
         )
 
     @pytest.mark.parametrize(
@@ -428,17 +433,17 @@ class TestRunProtocol:
             (
                 Representation.RULES,
                 "5acc108e2aed87033a4933a2336cced93e3e77e291583d8518ea205dff7290b9",
-                "31012b34dd3a9b6328130222c70d364d63898dd8120bf79efdbae9e067bc92f7",
+                "d6fadbaf56f16c3d7e42fb60f3495cb3c6d9cd5d387e6493508997b69cb1bfd1",
             ),
             (
                 Representation.EXAMPLES,
                 "19f4c9000cc8869202c9188333e58dd214ea058a42d8ec84bf1bccebe7ca453e",
-                "cb9bc3ce2af3bd7e24d1d0a37d1a58e2eb1d24ae5ca6b3dcfe73861a4b6182b0",
+                "5db4760d0dd8dd2d24cf31c50e5012d0f3545b99902670e567f810ae57faf252",
             ),
             (
                 Representation.MIXED,
                 "5a6c516573004653c089a9721d0c2752c2c7539693454b7d6a4ef36125af9a8c",
-                "75fb0bba2a9a5dd9bf82f8b00eeec1e9485874fc19b786a7b9caf67805e8ed3b",
+                "709effcc7ae9c760f46416c80858b3d90a97710dd7ec550b3c8e9c4eb81ecf03",
             ),
         ],
     )
@@ -447,14 +452,12 @@ class TestRunProtocol:
     ):
         """SHA-256 of every file of a scripted run directory.
 
-        A scripted run makes no completions, so ``token_usage.log`` is empty
-        and the whole directory, trajectories included, is deterministic. The
+        The whole directory, trajectories included, is deterministic. The
         report digests were re-pinned when the config lost its
         ``max_workers`` key. The manifest digests and the file count were
-        re-pinned when each attempt's ``trajectory.log`` and ``snapshot.yaml``
-        became lines of its instance's ``trajectories.log`` and
-        ``failures.jsonl``. A change that alters any of these bytes must say
-        why and update them.
+        re-pinned when each memory snapshot became one ``artifacts.yaml``
+        instead of six files split by role and kind. A change that alters
+        any of these bytes must say why and update them.
         """
         config = small_config(backend="scripted", representation=representation)
         run_protocol(config, run_dir=tmp_path)
@@ -463,7 +466,7 @@ class TestRunProtocol:
             f"{path.relative_to(tmp_path).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
             for path in files
         )
-        assert len(files) == 5 + 3 * 2 * 6 + 3 * 2  # fixed files, memory files, logs
+        assert len(files) == 5 + 3 * 2 + 3 * 2  # fixed files, memory files, logs
         assert hashlib.sha256((tmp_path / "final_report.json").read_bytes()).hexdigest() == report_sha
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == manifest_sha
 
@@ -491,8 +494,8 @@ class TestRunProtocol:
         assert (run_dir / "token_usage.log").exists()
         assert (run_dir / "stage_summary_01.json").exists()
         assert (run_dir / "stage_summary_02.json").exists()
-        memory_files = list(run_dir.glob("workspaces/instance_01/stage_02/memory/*.yaml"))
-        assert len(memory_files) == 6
+        memory_files = list(run_dir.glob("workspaces/instance_01/stage_02/memory/*"))
+        assert [p.name for p in memory_files] == ["artifacts.yaml"]
         report = json.loads((run_dir / "final_report.json").read_text())
         assert set(report["tokens"]) == {"adaptation", "evaluation"}
 
@@ -671,7 +674,7 @@ class TestRunDirectoryWrites:
                 dumps_by_stage[event] = dumps_by_stage.get(event, 0) + pending
                 pending = 0
         assert pending == 0
-        # Six files per memory hash that no earlier save of the run wrote.
+        # One file per memory hash that no earlier save of the run wrote.
         written: set[str] = set()
         expected: dict[str, int] = {}
         distinct = [len(set(r.memory_hashes.values())) for r in result.report.stage_reports]
@@ -680,11 +683,11 @@ class TestRunDirectoryWrites:
             new = set(r.memory_hashes.values()) - written
             written |= new
             if new:
-                expected[f"stage_{r.stage:02d}"] = 6 * len(new)
+                expected[f"stage_{r.stage:02d}"] = len(new)
         assert dumps_by_stage == expected
         assert set(saved) == written
 
-        # Every snapshot directory, written or linked, holds its memory's files.
+        # Every snapshot directory, written or linked, holds its memory's file.
         checked = set()
         for r in result.report.stage_reports:
             for instance, digest in r.memory_hashes.items():
@@ -702,14 +705,36 @@ class TestRunDirectoryWrites:
         assert set(run_dir.glob("workspaces/instance_*/stage_*/memory")) == checked
         assert len(checked) == config.instances * config.stages
 
+    def test_every_snapshot_loads_to_its_stage_hash(self, tmp_path):
+        """``load_workspace`` of each ``stage_SS/memory`` hashes to that stage's
+        ``memory_hashes`` entry, so every bucket comes back in its order."""
+        config = small_config(representation=Representation.MIXED)
+        result = run_protocol(config, run_dir=tmp_path)
+        kinds = set()
+        for r in result.report.stage_reports:
+            assert len(r.memory_hashes) == config.instances
+            for instance, digest in r.memory_hashes.items():
+                directory = (
+                    tmp_path / "workspaces" / f"instance_{instance:02d}"
+                    / f"stage_{r.stage:02d}" / "memory"
+                )
+                loaded = memory_module.load_workspace(
+                    directory, default_persistent(), capacity=config.memory_capacity
+                )
+                assert loaded.content_hash() == digest
+                for bucket in loaded.dynamic.values():
+                    kinds.add(tuple(a.kind for a in bucket))
+        # Some bucket holds a rule after an example: the order is the file's, not a sort by kind.
+        assert any(
+            ArtifactKind.RULE in sequence[sequence.index(ArtifactKind.EXAMPLE):]
+            for sequence in kinds
+            if ArtifactKind.EXAMPLE in sequence
+        )
+
     @staticmethod
     def files(run_dir: Path) -> dict[Path, bytes]:
-        """Bytes of every file under ``run_dir`` but the timestamped token log."""
-        return {
-            p.relative_to(run_dir): p.read_bytes()
-            for p in run_dir.rglob("*")
-            if p.is_file() and p.name != "token_usage.log"
-        }
+        """Bytes of every file under ``run_dir``, by relative path."""
+        return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
 
     def test_a_used_run_directory_is_refused(self, tmp_path):
         """A run directory holds one run: a second run into it writes nothing."""
@@ -813,8 +838,8 @@ class TestRunDirectoryWrites:
         """No directory or file per attempt: every count follows from the run's shape.
 
         Each instance has two logs and, per stage, a stage directory holding
-        a memory directory; each distinct memory of the run has six snapshot
-        files, hard linked wherever an equal memory appears again.
+        a memory directory; each distinct memory of the run has one snapshot
+        file, hard linked wherever an equal memory appears again.
         """
         config = small_config()
         result = run_protocol(config, run_dir=tmp_path)
@@ -825,7 +850,7 @@ class TestRunDirectoryWrites:
         fixed = 3 + config.stages  # config, report, token log, stage summaries
         # workspaces/, then per instance its directory and two per stage
         assert len(directories) == 1 + config.instances * (1 + 2 * config.stages)
-        assert len(inodes) == fixed + 2 * config.instances + 6 * len(distinct)
+        assert len(inodes) == fixed + 2 * config.instances + len(distinct)
         assert 1 < len(distinct) < config.instances * config.stages
 
     @settings(max_examples=60, deadline=None)
@@ -962,18 +987,6 @@ def _delayed_mock_transport(url, headers, payload):
     return _mock_transport(url, headers, payload)
 
 
-def _run_dir_bytes(run_dir: Path) -> dict[str, bytes]:
-    """Every file of a run directory by relative path; token-log timestamps stripped."""
-    files = {}
-    for path in sorted(run_dir.rglob("*")):
-        if path.is_file():
-            data = path.read_bytes()
-            if path.name == "token_usage.log":
-                data = re.sub(rb"timestamp=\S+ ", b"", data)
-            files[path.relative_to(run_dir).as_posix()] = data
-    return files
-
-
 def _usage(ledger, **where) -> dict[str, int]:
     totals = ledger.totals(**where)
     return {"prompt": totals.prompt_tokens, "completion": totals.completion_tokens}
@@ -1102,7 +1115,8 @@ class TestStageWorkers:
         serial_peaks, serial = self._http_run(monkeypatch, tmp_path / "serial")
         assert serial_peaks == {"adaptation": 1, "evaluation": 1}
         assert report.eval_returns == serial.eval_returns
-        pooled_files = _run_dir_bytes(tmp_path / "pooled")
-        assert {"final_report.json", "stage_summary_02.json", "token_usage.log"} <= set(pooled_files)
-        assert any(name.endswith("/memory/planner_reflection_knowledge.yaml") for name in pooled_files)
-        assert pooled_files == _run_dir_bytes(tmp_path / "serial")
+        pooled_files = TestRunDirectoryWrites.files(tmp_path / "pooled")
+        names = {rel.as_posix() for rel in pooled_files}
+        assert {"final_report.json", "stage_summary_02.json", "token_usage.log"} <= names
+        assert any(name.endswith("/memory/artifacts.yaml") for name in names)
+        assert pooled_files == TestRunDirectoryWrites.files(tmp_path / "serial")
