@@ -14,13 +14,16 @@ any strategic competence the planner shows comes from learned artifacts.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .calibration import HOST_COUNT
 from .cage_lite import (
+    VALID_ACTIONS,
     ActionKind,
     BlueAction,
     InvalidActionError,
@@ -126,7 +129,15 @@ class CallContext:
     phase: str = "adaptation"
 
     def meta(self, role: Role) -> RequestMeta:
-        return RequestMeta(instance=self.instance, role=role.value, phase=self.phase)
+        return _request_meta(self.instance, self.phase, role)
+
+
+# RequestMeta is frozen, so every call for one (instance, phase, role) shares
+# one value. The cache is thread-safe, and its keys are bounded by a run's
+# instances times two phases times five roles.
+@functools.lru_cache(maxsize=1024)
+def _request_meta(instance: int, phase: str, role: Role) -> RequestMeta:
+    return RequestMeta(instance=instance, role=role.value, phase=phase)
 
 
 def clause_matches(clause: Clause, observation: Observation, confirmed_host: int | None) -> bool:
@@ -154,24 +165,44 @@ def make_artifact_id(kind: ArtifactKind, origin: Origin, seq: int) -> str:
     return f"{kind.value}-i{origin.instance:02d}-s{origin.stage:02d}-a{origin.attempt:02d}-{seq}"
 
 
-def _flag_text(observation: Observation, host: int) -> str:
-    anomalous, suspicious, new_file = observation.flags(host)
-    return (
-        f"anomalous_process={int(anomalous)} suspicious_connection={int(suspicious)}"
-        f" new_file={int(new_file)}"
+# Every host's prompt line, indexed ``[host][anomalous][suspicious][new_file]``
+# by its flags: 13 x 8 strings, built once.
+_HOST_LINES: tuple[tuple[tuple[tuple[str, str], ...], ...], ...] = tuple(
+    tuple(
+        tuple(
+            tuple(
+                f"host={host} subnet={subnet_of(host).value} anomalous_process={anomalous}"
+                f" suspicious_connection={suspicious} new_file={new_file}"
+                for new_file in (0, 1)
+            )
+            for suspicious in (0, 1)
+        )
+        for anomalous in (0, 1)
     )
+    for host in range(HOST_COUNT)
+)
 
 
 def _host_line(observation: Observation, host: int) -> str:
-    return f"host={host} subnet={subnet_of(host).value} {_flag_text(observation, host)}"
+    if not 0 <= host < HOST_COUNT:
+        raise InvalidActionError(f"host index out of range: {host}")
+    anomalous, suspicious, new_file = observation.flags(host)
+    return _HOST_LINES[host][anomalous][suspicious][new_file]
 
 
 def serialize_observation(observation: Observation) -> str:
     lines = [f"step={observation.step_index}"]
-    flagged = observation.flagged_hosts()
-    if not flagged:
-        lines.append("no hosts flagged")
-    lines.extend(_host_line(observation, host) for host in flagged)
+    flagged = [
+        host_lines[anomalous][suspicious][new_file]
+        for host_lines, anomalous, suspicious, new_file in zip(
+            _HOST_LINES,
+            observation.anomalous_process,
+            observation.suspicious_connection,
+            observation.new_file,
+        )
+        if anomalous or suspicious or new_file
+    ]
+    lines.extend(flagged or ("no hosts flagged",))
     if observation.analysed_host is not None:
         level = "inconclusive" if observation.analysed_level is None else observation.analysed_level.name.lower()
         lines.append(f"analysed host={observation.analysed_host} level={level}")
@@ -325,17 +356,19 @@ _CLAUSE_VERB_RE = re.compile(r"\b(restore|remove|decoy|analyse|monitor)\b", re.I
 
 
 def parse_action(text: str) -> BlueAction | None:
+    """The valid action named by the first ``Answer:`` line, or None.
+
+    Monitor ignores any number after it; any other kind needs a target in
+    the network.
+    """
     match = _ANSWER_RE.search(text)
     if not match:
         return None
-    kind = ActionKind(match.group(1).capitalize())
-    target = None if match.group(2) is None else int(match.group(2))
-    try:
-        if kind is ActionKind.MONITOR:
-            return BlueAction(kind)
-        return BlueAction(kind, target)
-    except InvalidActionError:
-        return None
+    kind = match.group(1).capitalize()
+    target = match.group(2)
+    if kind == "Monitor" or target is None:
+        return VALID_ACTIONS.get((kind, None))
+    return VALID_ACTIONS.get((kind, int(target)))
 
 
 def parse_rule_clause(text: str) -> Clause | None:
@@ -427,7 +460,7 @@ class LLMBackend:
                 "planner output unparseable after %d reprompts; falling back to Monitor",
                 PARSE_REPROMPTS,
             )
-            return BlueAction(ActionKind.MONITOR)
+            return lookup_action("Monitor")
 
     def _run_tool(
         self, tool: re.Match, observation: Observation, memory: InstanceMemory, ctx: CallContext

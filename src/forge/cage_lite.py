@@ -379,9 +379,10 @@ _ALL_ACTIONS: tuple[BlueAction, ...] = (BlueAction(ActionKind.MONITOR),) + tuple
     for host in range(cal.HOST_COUNT)
 )
 
-# The valid actions by (kind name, target), built once: policies hand out
-# these values instead of building and validating a new action per step.
-_ACTIONS: dict[tuple[str, int | None], BlueAction] = {
+# The valid actions by (kind name, target), built once: policies and the LLM
+# agent's answer parser hand out these values instead of building and
+# validating a new action per step.
+VALID_ACTIONS: dict[tuple[str, int | None], BlueAction] = {
     (action.kind.value, action.target): action for action in _ALL_ACTIONS
 }
 
@@ -393,7 +394,7 @@ def lookup_action(kind: str, target: int | None = None) -> BlueAction:
     validated as before: ``InvalidActionError`` for a bad target, and
     ``ValueError`` for an unknown kind.
     """
-    action = _ACTIONS.get((kind, target))
+    action = VALID_ACTIONS.get((kind, target))
     return action if action is not None else BlueAction(ActionKind(kind), target)
 
 
@@ -452,8 +453,12 @@ def baseline_returns(policy_name: str, episodes: int, base_seed: int) -> list[fl
 # ---------------------------------------------------------------------------
 
 
+# ``bytes(flags)`` holds 0 or 1 per flag; this maps them to "0" and "1".
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bits(flags: tuple[bool, ...]) -> str:
-    return "".join("1" if f else "0" for f in flags)
+    return bytes(flags).translate(_BIT_DIGITS).decode("ascii")
 
 
 def format_step_record(record: StepRecord) -> str:

@@ -214,6 +214,10 @@ class InstanceMemory:
     _rendered: dict[
         tuple[Role, Representation], tuple[str, tuple[MemoryArtifact, ...], str]
     ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (value key, digest) of the last content hash; see ``content_hash``.
+    _hashed: tuple[tuple, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -225,7 +229,7 @@ class InstanceMemory:
             raise MemoryProtocolError("planner persistent memory must not contain the action table")
 
     def append(self, artifact: MemoryArtifact) -> None:
-        artifact.validate()
+        # A MemoryArtifact is frozen and validated when built.
         bucket = self.dynamic[artifact.role]
         bucket.append(artifact)
         while len(bucket) > self.capacity:
@@ -272,11 +276,27 @@ class InstanceMemory:
         )
 
     def content_hash(self) -> str:
-        """SHA-256 over the canonical JSON of :meth:`to_dict`."""
+        """SHA-256 over the canonical JSON of :meth:`to_dict`.
+
+        The digest is kept with its value key, everything ``to_dict`` reads
+        (capacity, persistent texts, artifact tuples), and reused while the
+        key is equal; like :meth:`render`'s cache this catches ``append``,
+        ``replace_dynamic``, a direct edit and a new capacity.
+        """
+        key = (
+            self.capacity,
+            tuple(self.persistent[role] for role in ACTING_ROLES),
+            tuple(tuple(self.dynamic[role]) for role in ACTING_ROLES),
+        )
+        cached = self._hashed
+        if cached is not None and cached[0] == key:
+            return cached[1]
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        self._hashed = (key, digest)
+        return digest
 
     def to_dict(self) -> dict:
         return {
@@ -292,11 +312,14 @@ def replace_dynamic(dst: InstanceMemory, src: InstanceMemory) -> InstanceMemory:
     """Destructively replace dst's learned artifacts with a copy of src's.
 
     Artifacts are frozen, so copying each role's list is enough to keep later
-    appends and evictions on either side from reaching the other.
+    appends and evictions on either side from reaching the other. ``dst``
+    also takes src's last content hash, which ``content_hash`` reuses only
+    if dst's value key equals the one it was taken for.
     """
     if dst.persistent != src.persistent:
         raise MemoryProtocolError("cannot broadcast between instances with different persistent memory")
     dst.dynamic = {role: list(items) for role, items in src.dynamic.items()}
+    dst._hashed = src._hashed
     return dst
 
 

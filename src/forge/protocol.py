@@ -352,8 +352,12 @@ def select_champion(
 def broadcast(
     population: list[InstanceState], champion: int
 ) -> list[InstanceState]:
-    """Replace every active non-champion instance's dynamic memory in place."""
+    """Replace every active non-champion instance's dynamic memory in place.
+
+    The champion's memory is hashed first, so each receiver takes its digest.
+    """
     source = next(p for p in population if p.instance == champion)
+    source.memory.content_hash()
     for state in population:
         if state.graduated_at is not None or state.instance == champion:
             continue

@@ -2,18 +2,22 @@ from __future__ import annotations
 
 import itertools
 import logging
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import blank_observation, flags_for
+from forge import agents
 from forge import cage_lite as env
 from forge.agents import (
     ACTION_REFERENCE_TABLE,
     CallContext,
     LLMBackend,
     ScriptedBackend,
+    _host_line,
     clause_action,
     default_memory,
     mock_responder,
@@ -22,8 +26,17 @@ from forge.agents import (
     parse_rule_clause,
     serialize_observation,
 )
-from forge.cage_lite import ActionKind, BlueAction, CompromiseLevel
-from forge.llm_connector import ChatMessage, ChatRequest, MockConnector
+from forge.cage_lite import (
+    VALID_ACTIONS,
+    ActionKind,
+    BlueAction,
+    CompromiseLevel,
+    InvalidActionError,
+    StepRecord,
+    format_step_record,
+    lookup_action,
+)
+from forge.llm_connector import ChatMessage, ChatRequest, MockConnector, RequestMeta
 from forge.memory import (
     ACTING_ROLES,
     ACTION_TABLE_MARKER,
@@ -47,6 +60,48 @@ def clause_rule(host: int, response: str = "Restore", trigger: str = "compromise
         clause=Clause(host=host, response=response, trigger=trigger),
         origin=Origin(1, 1, 1),
         artifact_id=f"rule-{host}-{response}",
+    )
+
+
+def reference_host_line(observation: env.Observation, host: int) -> str:
+    """The Analyst's host line, formatted afresh."""
+    anomalous, suspicious, new_file = observation.flags(host)
+    return (
+        f"host={host} subnet={env.subnet_of(host).value}"
+        f" anomalous_process={int(anomalous)} suspicious_connection={int(suspicious)}"
+        f" new_file={int(new_file)}"
+    )
+
+
+def reference_serialize_observation(observation: env.Observation) -> str:
+    """The Planner's observation text, formatted afresh."""
+    lines = [f"step={observation.step_index}"]
+    flagged = observation.flagged_hosts()
+    if not flagged:
+        lines.append("no hosts flagged")
+    lines.extend(reference_host_line(observation, host) for host in flagged)
+    if observation.analysed_host is not None:
+        level = (
+            "inconclusive"
+            if observation.analysed_level is None
+            else observation.analysed_level.name.lower()
+        )
+        lines.append(f"analysed host={observation.analysed_host} level={level}")
+    return "\n".join(lines)
+
+
+def reference_step_record(record: StepRecord) -> str:
+    """A trajectory log line, formatted afresh."""
+
+    def bits(flags):
+        return "".join("1" if f else "0" for f in flags)
+
+    obs = record.observation
+    target = "-" if record.action.target is None else str(record.action.target)
+    return (
+        f"step={obs.step_index:02d} action={record.action.kind.value} target={target}"
+        f" reward={record.reward:.1f} anomalous={bits(obs.anomalous_process)}"
+        f" suspicious={bits(obs.suspicious_connection)} newfile={bits(obs.new_file)}"
     )
 
 
@@ -263,6 +318,18 @@ class TestScriptedLearning:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("case", [str.lower, str.upper, str.capitalize, str.swapcase])
+    def test_parse_action_returns_the_table_entry(self, case):
+        for kind, target in VALID_ACTIONS:
+            answer = case(kind) if target is None else f"{case(kind)} {target}"
+            assert parse_action(f"Answer: {answer}") is lookup_action(kind, target)
+        assert parse_action(f"Answer: {case('Monitor')} 3") is lookup_action("Monitor")
+        for kind in ("Analyse", "Remove", "Restore", "Decoy"):
+            assert parse_action(f"Answer: {case(kind)} 13") is None
+            # The answer pattern reads no sign, so "-1" names host 1, never a
+            # host counted from the end of the network.
+            assert parse_action(f"Answer: {case(kind)} -1") is lookup_action(kind, 1)
+
     def test_parse_action_variants(self):
         assert parse_action("Answer: Monitor") == BlueAction(ActionKind.MONITOR)
         assert parse_action("thinking...\nAnswer: Restore 12") == BlueAction(
@@ -518,3 +585,62 @@ def test_serialize_observation_lists_flagged_hosts():
     assert "host=6" in text
     assert "analysed host=6 level=user_access" in text
     assert "subnet=user" in text
+
+
+@given(
+    OBSERVATIONS,
+    st.sampled_from(list(VALID_ACTIONS.values())),
+    st.integers(-300, 0).map(lambda tenths: tenths / 10),
+)
+def test_table_built_text_equals_the_reference_format(observation, action, reward):
+    assert serialize_observation(observation) == reference_serialize_observation(observation)
+    for host in range(13):
+        assert _host_line(observation, host) == reference_host_line(observation, host)
+    record = StepRecord(action, reward, observation)
+    assert format_step_record(record) == reference_step_record(record)
+
+
+@pytest.mark.parametrize("host", [13, -1])
+def test_host_line_rejects_a_host_outside_the_network(host):
+    with pytest.raises(InvalidActionError):
+        _host_line(blank_observation(), host)
+
+
+class TestCallContext:
+    def test_meta_is_shared_per_instance_phase_and_role(self):
+        ctx = CallContext(instance=4, phase="evaluation")
+        meta = ctx.meta(Role.ANALYST)
+        assert meta == RequestMeta(instance=4, role="analyst", phase="evaluation")
+        assert CallContext(instance=4, phase="evaluation").meta(Role.ANALYST) is meta
+        assert ctx.meta(Role.PLANNER) != meta
+        assert CallContext(instance=5, phase="evaluation").meta(Role.ANALYST) != meta
+
+    def test_meta_is_right_under_concurrent_first_calls(self):
+        agents._request_meta.cache_clear()
+        keys = [
+            (instance, phase, role)
+            for instance in range(6)
+            for phase in ("adaptation", "evaluation")
+            for role in Role
+        ]
+        wrong = []
+
+        def worker(offset: int) -> None:
+            for i in range(2_000):
+                instance, phase, role = keys[(offset + i) % len(keys)]
+                meta = CallContext(instance=instance, phase=phase).meta(role)
+                if meta != RequestMeta(instance=instance, role=role.value, phase=phase):
+                    wrong.append(meta)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n * 7,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

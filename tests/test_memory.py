@@ -71,6 +71,14 @@ def reference_render(memory: InstanceMemory, role: Role, representation: Represe
     )
 
 
+def reference_hash(memory: InstanceMemory) -> str:
+    """``InstanceMemory.content_hash`` computed afresh from the memory's current state."""
+    canonical = json.dumps(
+        memory.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 ACTING = st.sampled_from(mem.ACTING_ROLES)
 
 # One step of a memory's life between two renders.
@@ -472,6 +480,100 @@ class TestContentHash:
         mem.save_workspace(memory, tmp_path)
         loaded = mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
         assert loaded.content_hash() == memory.content_hash()
+
+    @pytest.mark.parametrize("change", ["append", "list_edit", "persistent", "capacity"])
+    def test_kept_hash_follows_every_change(self, memory, change):
+        memory.append(rule(1))
+        before = memory.content_hash()
+        if change == "append":
+            memory.append(rule(2))
+        elif change == "list_edit":
+            memory.dynamic[Role.PLANNER][0] = rule(1, attempt=2)
+        elif change == "persistent":
+            memory.persistent[Role.ANALYST] = "Another indicator guide."
+        else:
+            memory.capacity = 5
+        after = memory.content_hash()
+        assert after != before
+        assert after == reference_hash(memory) == memory.clone().content_hash()
+
+    def test_kept_hash_is_not_part_of_the_value(self, memory):
+        memory.append(rule(1))
+        fresh = memory.clone()
+        memory.content_hash()
+        assert memory == fresh
+        assert repr(memory) == repr(fresh)
+        assert memory.clone()._hashed is None
+
+    def test_receivers_take_the_source_digest(self, monkeypatch):
+        src = default_memory()
+        src.append(rule(1))
+        src.append(example(2, role=Role.ANALYST))
+        receivers = [default_memory() for _ in range(3)]
+        receivers[0].append(rule(9))
+        for receiver in receivers:
+            receiver.content_hash()
+        # Equal artifacts under another capacity: another value, another digest.
+        narrow = InstanceMemory(persistent=default_persistent(), capacity=5)
+        src.content_hash()
+        serialized = []
+        to_dict = InstanceMemory.to_dict
+
+        def counting(self):
+            serialized.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(InstanceMemory, "to_dict", counting)
+        for receiver in receivers + [narrow]:
+            mem.replace_dynamic(receiver, src)
+        assert [r.content_hash() for r in receivers] == [src.content_hash()] * 3
+        assert serialized == []
+        assert narrow.content_hash() != src.content_hash()
+        assert len(serialized) == 1 and serialized[0] is narrow
+        monkeypatch.undo()
+        for receiver in receivers + [narrow]:
+            assert receiver.content_hash() == receiver.clone().content_hash()
+
+    @given(st.lists(RENDER_OPS, max_size=14))
+    @settings(max_examples=40, deadline=None)
+    def test_kept_hash_equals_a_fresh_hash(self, tmp_path_factory, ops):
+        memory = default_memory(capacity=3)
+
+        def source(n: int) -> InstanceMemory:
+            other = default_memory(capacity=3, persistent=dict(memory.persistent))
+            for host in range(n + 1):
+                other.append(rule(host, stage=n))
+                other.append(example(host + n, role=Role.ANALYST))
+            other.content_hash()
+            return other
+
+        for op, *args in ops:
+            if op == "append":
+                role, is_rule, host = args
+                memory.append(rule(host, role=role) if is_rule else example(host, role=role))
+            elif op == "replace_dynamic":
+                mem.replace_dynamic(memory, source(args[0]))
+            elif op == "load_workspace":
+                directory = tmp_path_factory.mktemp("workspace")
+                mem.save_workspace(source(args[0]), directory)
+                loaded = mem.load_workspace(directory, memory.persistent, memory.capacity)
+                for role in mem.ACTING_ROLES:
+                    memory.dynamic[role] = loaded.dynamic[role]
+            elif op == "edit":
+                role, edit, host = args
+                bucket = memory.dynamic[role]
+                if edit == "setitem" and bucket:
+                    bucket[host % len(bucket)] = rule(host, role=role, attempt=2)
+                elif edit == "pop" and bucket:
+                    bucket.pop(host % len(bucket))
+                elif edit == "reverse":
+                    bucket.reverse()
+                elif edit == "clear":
+                    bucket.clear()
+            else:
+                role, text = args
+                memory.persistent[role] = text
+            assert memory.content_hash() == reference_hash(memory)
 
     def test_order_within_a_role_matters(self, memory):
         swapped = memory.clone()

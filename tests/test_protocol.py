@@ -267,6 +267,27 @@ class TestBroadcast:
         assert population[2].memory.content_hash() == frozen
         assert population[1].memory.content_hash() == population[0].memory.content_hash()
 
+    def test_broadcast_serializes_only_the_champion(self, monkeypatch):
+        population = self._population()
+        for p in population:
+            p.memory.content_hash()  # digests kept from an earlier stage
+        from test_memory import rule
+
+        population[1].memory.append(rule(11))
+        serialized = []
+        to_dict = memory_module.InstanceMemory.to_dict
+
+        def counting(self):
+            serialized.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(memory_module.InstanceMemory, "to_dict", counting)
+        broadcast(population, champion=2)
+        hashes = [p.memory.content_hash() for p in population]
+        assert len(serialized) == 1 and serialized[0] is population[1].memory
+        monkeypatch.undo()
+        assert hashes == [p.memory.clone().content_hash() for p in population]
+
     def test_broadcast_copies_are_isolated(self):
         population = self._population()
         broadcast(population, champion=2)
