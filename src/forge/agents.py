@@ -221,7 +221,7 @@ def serialize_snapshot(snapshot: "FailureSnapshot") -> str:
     ]
     lines.extend(format_step_record(r) for r in snapshot.trajectory)
     lines.append("memory at failure:")
-    lines.append(snapshot.memory_at_failure.render(Role.PLANNER, Representation.MIXED))
+    lines.append(snapshot.memory_at_failure.render(Role.PLANNER))
     return "\n".join(lines)
 
 
@@ -241,9 +241,7 @@ class ScriptedBackend:
     """
 
     def __init__(self, representation: Representation = Representation.MIXED):
-        self.representation = representation
-        # The artifact kinds ``representation`` admits, worked out once.
-        self._admitted = tuple(kind for kind in ArtifactKind if representation.admits(kind))
+        self.representation = representation  # read only by ``reflexion.synthesize``
         # Scripted decisions make no completions; this stays empty.
         self.ledger = TokenLedger()
 
@@ -256,23 +254,19 @@ class ScriptedBackend:
         ctx: CallContext | None = None,
     ) -> BlueAction:
         confirmed = observation.confirmed_host()
-        admitted = self._admitted
         for role in ACTING_ROLES:
             for artifact in memory.dynamic[role]:
                 clause = artifact.clause
-                if (
-                    clause is not None
-                    and artifact.kind in admitted
-                    and clause_matches(clause, observation, confirmed)
-                ):
+                if clause is not None and clause_matches(clause, observation, confirmed):
                     return clause_action(clause)
         return heuristic_policy(observation, None)
 
     # -- learning ----------------------------------------------------------
 
     def reflect(
-        self, snapshot: "FailureSnapshot", origin: Origin, ctx: CallContext | None = None
+        self, snapshot: "FailureSnapshot", ctx: CallContext | None = None
     ) -> list[MemoryArtifact]:
+        origin = snapshot.origin
         host, response = self._remediation(snapshot)
         if host is None:
             text = "When no host shows indicators, then continue monitoring the network."
@@ -292,8 +286,9 @@ class ScriptedBackend:
         return [artifact]
 
     def exemplify(
-        self, snapshot: "FailureSnapshot", origin: Origin, ctx: CallContext | None = None
+        self, snapshot: "FailureSnapshot", ctx: CallContext | None = None
     ) -> list[MemoryArtifact]:
+        origin = snapshot.origin
         host, response = self._remediation(snapshot)
         target = 0 if host is None else host
         action = response if host is not None else "Restore"
@@ -340,7 +335,7 @@ class ScriptedBackend:
 # ---------------------------------------------------------------------------
 
 _ANSWER_RE = re.compile(
-    r"Answer:\s*(Monitor|Analyse|Remove|Restore|Decoy)(?:[^\d\n]*?(\d+))?",
+    r"Answer:\s*(Monitor|Analyse|Remove|Restore|Decoy)(?:[^\d\n]*?(-?\d+))?",
     re.IGNORECASE,
 )
 _TOOL_RE = re.compile(
@@ -359,7 +354,7 @@ def parse_action(text: str) -> BlueAction | None:
     """The valid action named by the first ``Answer:`` line, or None.
 
     Monitor ignores any number after it; any other kind needs a target in
-    the network.
+    the network, so a negative one such as ``Restore -1`` is None.
     """
     match = _ANSWER_RE.search(text)
     if not match:
@@ -389,17 +384,18 @@ class LLMBackend:
         model: str = "mock-chat",
     ):
         self.connector = connector
-        self.representation = representation
+        self.representation = representation  # read only by ``reflexion.synthesize``
         self.model = model
         # Usage of every completion made through this backend.
         self.ledger = TokenLedger()
 
     # -- plumbing ----------------------------------------------------------
 
-    def _system_prompt(self, role: Role, memory: InstanceMemory) -> str:
+    def _system_prompt(self, role: Role, memory: InstanceMemory | None = None) -> str:
+        """An acting role's prompt shows its section of ``memory``."""
         base = _DEFAULT_SYSTEM_PROMPTS[role]
-        if role in (Role.PLANNER, Role.ANALYST, Role.ACTION_CHOOSER):
-            return base + "\n\n" + memory.render(role, self.representation)
+        if role in ACTING_ROLES:
+            return base + "\n\n" + memory.render(role)
         # Learning agents get the action reference table on top of their prompt.
         return base + "\n\n" + ACTION_REFERENCE_TABLE
 
@@ -465,9 +461,14 @@ class LLMBackend:
     def _run_tool(
         self, tool: re.Match, observation: Observation, memory: InstanceMemory, ctx: CallContext
     ) -> str:
-        """Run the sub-agent named by a planner tool line; return its response text."""
+        """Run the sub-agent named by a planner tool line; return its response text.
+
+        A host outside the network gets an error reply, without a completion.
+        """
         name = tool.group(1).lower()
         host = int(tool.group(2))
+        if not 0 <= host < HOST_COUNT:
+            return f"Error: host must be in 0..{HOST_COUNT - 1}, got {host}"
         if name == "analyse":
             return self.analyse(host, observation, memory, ctx)
         context = {
@@ -534,11 +535,12 @@ class LLMBackend:
     # -- learning ----------------------------------------------------------
 
     def reflect(
-        self, snapshot: "FailureSnapshot", origin: Origin, ctx: CallContext | None = None
+        self, snapshot: "FailureSnapshot", ctx: CallContext | None = None
     ) -> list[MemoryArtifact]:
+        origin = snapshot.origin
         ctx = ctx or CallContext(instance=origin.instance)
         messages = [
-            ChatMessage("system", self._system_prompt(Role.REFLECTOR, snapshot.memory_at_failure)),
+            ChatMessage("system", self._system_prompt(Role.REFLECTOR)),
             ChatMessage("user", snapshot.text),
         ]
         for round_ in range(PARSE_REPROMPTS + 1):
@@ -558,13 +560,12 @@ class LLMBackend:
         return []
 
     def exemplify(
-        self, snapshot: "FailureSnapshot", origin: Origin, ctx: CallContext | None = None
+        self, snapshot: "FailureSnapshot", ctx: CallContext | None = None
     ) -> list[MemoryArtifact]:
+        origin = snapshot.origin
         ctx = ctx or CallContext(instance=origin.instance)
         messages = [
-            ChatMessage(
-                "system", self._system_prompt(Role.EXEMPLIFIER, snapshot.memory_at_failure)
-            ),
+            ChatMessage("system", self._system_prompt(Role.EXEMPLIFIER)),
             ChatMessage("user", snapshot.text),
         ]
         for round_ in range(PARSE_REPROMPTS + 1):

@@ -43,13 +43,6 @@ class Representation(Enum):
     EXAMPLES = "examples"
     MIXED = "mixed"
 
-    def admits(self, kind: ArtifactKind) -> bool:
-        if self is Representation.MIXED:
-            return True
-        if self is Representation.RULES:
-            return kind is ArtifactKind.RULE
-        return kind is ArtifactKind.EXAMPLE
-
 
 class ArtifactValidationError(ValueError):
     """An artifact violates its structural contract."""
@@ -209,11 +202,11 @@ class InstanceMemory:
     persistent: dict[Role, str]
     dynamic: dict[Role, list[MemoryArtifact]] = field(default_factory=dict)
     capacity: int = DEFAULT_CAPACITY
-    # (role, representation) -> (persistent text, artifacts, rendered text)
-    # of the last render; not part of the memory's value.
-    _rendered: dict[
-        tuple[Role, Representation], tuple[str, tuple[MemoryArtifact, ...], str]
-    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # role -> (persistent text, artifacts, rendered text) of the last
+    # render; not part of the memory's value.
+    _rendered: dict[Role, tuple[str, tuple[MemoryArtifact, ...], str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     # (value key, digest) of the last content hash; see ``content_hash``.
     _hashed: tuple[tuple, str] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -235,8 +228,8 @@ class InstanceMemory:
         while len(bucket) > self.capacity:
             bucket.pop(0)
 
-    def render(self, role: Role, representation: Representation) -> str:
-        """The role's prompt section: persistent text, then admitted rules and examples.
+    def render(self, role: Role) -> str:
+        """The role's prompt section: persistent text, then every rule, then every example.
 
         The text is kept until the role's persistent text or artifacts
         change. Comparing the artifact tuple is cheap because tuple equality
@@ -245,19 +238,13 @@ class InstanceMemory:
         """
         persistent = self.persistent[role]
         artifacts = tuple(self.dynamic[role])
-        cached = self._rendered.get((role, representation))
+        cached = self._rendered.get(role)
         if cached is not None and cached[0] == persistent and cached[1] == artifacts:
             return cached[2]
         rule_lines = "\n".join(
-            f"- [{a.artifact_id}] {a.text}"
-            for a in artifacts
-            if a.kind is ArtifactKind.RULE and representation.admits(a.kind)
+            f"- [{a.artifact_id}] {a.text}" for a in artifacts if a.kind is ArtifactKind.RULE
         )
-        example_blocks = "\n\n".join(
-            a.text
-            for a in artifacts
-            if a.kind is ArtifactKind.EXAMPLE and representation.admits(a.kind)
-        )
+        example_blocks = "\n\n".join(a.text for a in artifacts if a.kind is ArtifactKind.EXAMPLE)
         text = "\n\n".join(
             (
                 persistent.rstrip(),
@@ -265,7 +252,7 @@ class InstanceMemory:
                 f"<TOOL_USE_EXAMPLES>\n{example_blocks}\n</TOOL_USE_EXAMPLES>",
             )
         )
-        self._rendered[(role, representation)] = (persistent, artifacts, text)
+        self._rendered[role] = (persistent, artifacts, text)
         return text
 
     def clone(self) -> "InstanceMemory":

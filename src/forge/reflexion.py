@@ -135,14 +135,19 @@ def run_attempt(
 def synthesize(
     snapshot: FailureSnapshot, backend, ctx: CallContext | None = None
 ) -> list[MemoryArtifact]:
-    """Turn a failure snapshot into artifacts via Reflector and/or Exemplifier,
-    as ``backend.representation`` asks."""
+    """Turn a failure snapshot into artifacts via Reflector and/or Exemplifier.
+
+    This is the one place that reads ``backend.representation``: ``rules``
+    runs the Reflector, ``examples`` the Exemplifier and ``mixed`` both. A
+    memory therefore holds only the kinds its run's representation makes,
+    and rendering and the scripted policy use every artifact it holds.
+    """
     representation = backend.representation
     artifacts = []
     if representation in (Representation.RULES, Representation.MIXED):
-        artifacts.extend(backend.reflect(snapshot, snapshot.origin, ctx=ctx))
+        artifacts.extend(backend.reflect(snapshot, ctx=ctx))
     if representation in (Representation.EXAMPLES, Representation.MIXED):
-        artifacts.extend(backend.exemplify(snapshot, snapshot.origin, ctx=ctx))
+        artifacts.extend(backend.exemplify(snapshot, ctx=ctx))
     return artifacts
 
 

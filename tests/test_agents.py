@@ -46,7 +46,6 @@ from forge.memory import (
     Clause,
     MemoryArtifact,
     Origin,
-    Representation,
     Role,
 )
 from forge.reflexion import AttemptStatus, FailureSnapshot, run_attempt
@@ -141,13 +140,6 @@ class TestScriptedDecide:
             decision = backend.decide(observation, mem)
             assert decision == BlueAction(ActionKind.RESTORE, first)
 
-    def test_representation_filters_clauses(self, memory):
-        memory.append(clause_rule(3))
-        backend = ScriptedBackend(representation=Representation.EXAMPLES)
-        observation = blank_observation(anomalous_process=flags_for([3]))
-        decision = backend.decide(observation, memory)
-        assert decision != BlueAction(ActionKind.RESTORE, 3)
-
     def test_confirmed_compromise_restored_without_clause(self, memory):
         backend = ScriptedBackend()
         observation = blank_observation(
@@ -179,14 +171,14 @@ class TestScriptedDecide:
             decision = backend.decide(observation, memory)
             observation, _ = env.step(episode, decision)
 
-    @given(observation=OBSERVATIONS, representation=st.sampled_from(Representation))
-    def test_without_firing_clause_equals_reference_heuristic(self, observation, representation):
+    @given(observation=OBSERVATIONS)
+    def test_without_firing_clause_equals_reference_heuristic(self, observation):
         # Clauses on hosts that are neither flagged nor confirmed never fire.
         memory = default_memory()
         quiet = set(range(13)) - set(observation.flagged_hosts()) - {observation.confirmed_host()}
         for host in sorted(quiet):
             memory.append(clause_rule(host))
-        decision = ScriptedBackend(representation).decide(observation, memory)
+        decision = ScriptedBackend().decide(observation, memory)
         assert decision == env.heuristic_policy(observation, None)
 
 
@@ -266,7 +258,9 @@ class TestScriptedActionTable:
         assert clause_actions & {r.action for r in outcome.trajectory}, "no clause fired"
 
 
-def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
+def snapshot_with(
+    levels: dict[int, CompromiseLevel], memory, new_file_on=None, origin=Origin(2, 1, 1)
+):
     episode, _ = env.begin(1)
     for host, level in levels.items():
         episode.hosts[host] = env.HostCompromise(level=level)
@@ -281,7 +275,7 @@ def snapshot_with(levels: dict[int, CompromiseLevel], memory, new_file_on=None):
     return FailureSnapshot(
         trajectory=(record,),
         memory_at_failure=memory.clone(),
-        origin=Origin(stage=2, attempt=1, instance=1),
+        origin=origin,
         failing_host=episode.foothold(),
     )
 
@@ -291,7 +285,7 @@ class TestScriptedLearning:
         snapshot = snapshot_with(
             {6: CompromiseLevel.ROOT_ACCESS, 10: CompromiseLevel.USER_ACCESS}, memory
         )
-        artifacts = ScriptedBackend().reflect(snapshot, Origin(2, 1, 1))
+        artifacts = ScriptedBackend().reflect(snapshot)
         assert len(artifacts) == 1
         assert artifacts[0].kind is ArtifactKind.RULE
         assert artifacts[0].clause == Clause(host=10, response="Restore")
@@ -299,21 +293,21 @@ class TestScriptedLearning:
 
     def test_reflect_without_persistence_evidence_prefers_remove(self, memory):
         snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory, new_file_on=[])
-        artifacts = ScriptedBackend().reflect(snapshot, Origin(2, 1, 1))
+        artifacts = ScriptedBackend().reflect(snapshot)
         assert artifacts[0].clause.response == "Remove"
 
     def test_exemplify_produces_interaction_example(self, memory):
         snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory)
-        artifacts = ScriptedBackend().exemplify(snapshot, Origin(2, 1, 1))
+        artifacts = ScriptedBackend().exemplify(snapshot)
         assert len(artifacts) == 1
         assert artifacts[0].kind is ArtifactKind.EXAMPLE
         for marker in ("Thought:", "Tool:", "Observation:", "Answer:"):
             assert marker in artifacts[0].text
 
     def test_origin_stamped_on_artifacts(self, memory):
-        snapshot = snapshot_with({6: CompromiseLevel.USER_ACCESS}, memory)
         origin = Origin(stage=3, attempt=2, instance=5)
-        for artifact in ScriptedBackend().reflect(snapshot, origin):
+        snapshot = snapshot_with({6: CompromiseLevel.USER_ACCESS}, memory, origin=origin)
+        for artifact in ScriptedBackend().reflect(snapshot):
             assert artifact.origin == origin
 
 
@@ -326,9 +320,9 @@ class TestParsing:
         assert parse_action(f"Answer: {case('Monitor')} 3") is lookup_action("Monitor")
         for kind in ("Analyse", "Remove", "Restore", "Decoy"):
             assert parse_action(f"Answer: {case(kind)} 13") is None
-            # The answer pattern reads no sign, so "-1" names host 1, never a
-            # host counted from the end of the network.
-            assert parse_action(f"Answer: {case(kind)} -1") is lookup_action(kind, 1)
+            # "-1" is outside the network: neither host 1 nor a host counted
+            # from the end of it.
+            assert parse_action(f"Answer: {case(kind)} -1") is None
 
     def test_parse_action_variants(self):
         assert parse_action("Answer: Monitor") == BlueAction(ActionKind.MONITOR)
@@ -419,6 +413,12 @@ class TestLLMBackend:
                 "Restore host 6, surely.",
                 '[{"action": "Monitor", "confidence": 1.0}]',
             ),
+            (
+                "rank_actions host=1",
+                '[{"action": "Restore -1", "confidence": 0.95},'
+                ' {"action": "Restore 1", "confidence": 0.5}]',
+                '[{"action": "Restore 1", "confidence": 0.5}]',
+            ),
         ],
     )
     def test_tool_result_text(self, memory, tool, reply, result):
@@ -450,6 +450,41 @@ class TestLLMBackend:
         analyst_calls = [e for e in backend.ledger.entries() if e.role == Role.ANALYST.value]
         assert len(analyst_calls) == 6
         assert decision == BlueAction(ActionKind.MONITOR)
+
+    @pytest.mark.parametrize("tool", ["analyse host=13", "rank_actions host=13 severity=high"])
+    def test_out_of_range_tool_host_gets_an_error_and_no_completion(self, memory, tool):
+        def responder(request: ChatRequest) -> str:
+            if len(request.messages) == 2:
+                return f"Tool: {tool}"
+            return "Answer: Restore 6"
+
+        connector = RecordingConnector(MockConnector(responder=responder))
+        backend = LLMBackend(connector)
+        decision = backend.decide(blank_observation(), memory, CallContext())
+        assert decision == BlueAction(ActionKind.RESTORE, 6)
+        assert connector.roles == [Role.PLANNER.value] * 2
+        assert connector.requests[-1].messages[-1].content == (
+            "Observation: Error: host must be in 0..12, got 13"
+        )
+
+    def test_out_of_range_tool_calls_count_against_the_budget(self, memory):
+        connector = RecordingConnector(
+            MockConnector(responder=lambda r: "Tool: analyse host=13")
+        )
+        decision = LLMBackend(connector).decide(blank_observation(), memory, CallContext())
+        assert decision == BlueAction(ActionKind.MONITOR)
+        # Every tool call in budget, one over it, then the reprompts.
+        budget = agents.SUBAGENT_CALL_BUDGET + 1 + agents.PARSE_REPROMPTS
+        assert connector.roles == [Role.PLANNER.value] * budget
+
+    def test_negative_host_answer_is_reprompted(self, memory):
+        def responder(request: ChatRequest) -> str:
+            return "Answer: Restore -1" if len(request.messages) == 2 else "Answer: Restore 1"
+
+        connector = RecordingConnector(MockConnector(responder=responder))
+        decision = LLMBackend(connector).decide(blank_observation(), memory, CallContext())
+        assert decision == BlueAction(ActionKind.RESTORE, 1)
+        assert connector.roles == [Role.PLANNER.value] * 2
 
     def test_parse_failure_falls_back_to_monitor(self, memory, caplog):
         backend = LLMBackend(MockConnector(responder=lambda r: "gibberish"))
@@ -484,7 +519,7 @@ class TestLLMBackend:
     def test_llm_reflect_parses_rules_with_clauses(self, memory):
         snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory)
         backend = LLMBackend(MockConnector(responder=mock_responder))
-        artifacts = backend.reflect(snapshot, Origin(2, 1, 1), CallContext())
+        artifacts = backend.reflect(snapshot, CallContext())
         assert artifacts
         assert artifacts[0].kind is ArtifactKind.RULE
         assert artifacts[0].clause == Clause(host=6, response="Restore")
@@ -496,21 +531,21 @@ class TestLLMBackend:
             "- When host 6 is compromised, then restore host 6.\n"
         )
         backend = LLMBackend(MockConnector(responder=lambda r: reply))
-        artifacts = backend.reflect(snapshot, Origin(2, 1, 1), CallContext())
+        artifacts = backend.reflect(snapshot, CallContext())
         assert [a.clause for a in artifacts] == [Clause(host=6, response="Restore")]
 
     def test_llm_reflect_reprompts_then_gives_up(self, memory, caplog):
         snapshot = snapshot_with({6: CompromiseLevel.USER_ACCESS}, memory)
         backend = LLMBackend(MockConnector(responder=lambda r: "not a rule"))
         with caplog.at_level(logging.WARNING):
-            artifacts = backend.reflect(snapshot, Origin(2, 1, 1), CallContext())
+            artifacts = backend.reflect(snapshot, CallContext())
         assert artifacts == []
         assert any("no valid rules" in r.message for r in caplog.records)
 
     def test_llm_exemplify_returns_marked_example(self, memory):
         snapshot = snapshot_with({10: CompromiseLevel.USER_ACCESS}, memory)
         backend = LLMBackend(MockConnector(responder=mock_responder))
-        artifacts = backend.exemplify(snapshot, Origin(2, 1, 1), CallContext())
+        artifacts = backend.exemplify(snapshot, CallContext())
         assert len(artifacts) == 1
         assert artifacts[0].kind is ArtifactKind.EXAMPLE
         assert artifacts[0].clause is not None and artifacts[0].clause.host == 10
@@ -527,8 +562,8 @@ class TestRoleConfigs:
         backend.analyse(6, observation, memory, CallContext())
         backend.rank_actions({"host": 6, "severity": "high"}, memory, CallContext())
         snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory)
-        backend.reflect(snapshot, Origin(2, 1, 1), CallContext())
-        backend.exemplify(snapshot, Origin(2, 1, 1), CallContext())
+        backend.reflect(snapshot, CallContext())
+        backend.exemplify(snapshot, CallContext())
         sampling: dict[str, set[tuple[float, int]]] = {}
         for role, request in zip(connector.roles, connector.requests, strict=True):
             sampling.setdefault(role, set()).add(

@@ -20,7 +20,6 @@ from forge.memory import (
     MemoryArtifact,
     MemoryProtocolError,
     Origin,
-    Representation,
     Role,
 )
 
@@ -57,13 +56,13 @@ def example(host: int = 6, role: Role = Role.PLANNER) -> MemoryArtifact:
     )
 
 
-def reference_render(memory: InstanceMemory, role: Role, representation: Representation) -> str:
+def reference_render(memory: InstanceMemory, role: Role) -> str:
     """``InstanceMemory.render`` computed afresh from the memory's current state."""
-    admitted = [a for a in memory.dynamic[role] if representation.admits(a.kind)]
+    artifacts = memory.dynamic[role]
     rule_lines = "\n".join(
-        f"- [{a.artifact_id}] {a.text}" for a in admitted if a.kind is ArtifactKind.RULE
+        f"- [{a.artifact_id}] {a.text}" for a in artifacts if a.kind is ArtifactKind.RULE
     )
-    example_blocks = "\n\n".join(a.text for a in admitted if a.kind is ArtifactKind.EXAMPLE)
+    example_blocks = "\n\n".join(a.text for a in artifacts if a.kind is ArtifactKind.EXAMPLE)
     return (
         f"{memory.persistent[role].rstrip()}\n\n"
         f"<reflection_knowledge>\n{rule_lines}\n</reflection_knowledge>\n\n"
@@ -219,35 +218,31 @@ class TestAppend:
 
 class TestRender:
     def test_empty_memory_renders_markers(self, memory):
-        text = memory.render(Role.PLANNER, Representation.MIXED)
+        text = memory.render(Role.PLANNER)
         assert "<reflection_knowledge>" in text
         assert "</reflection_knowledge>" in text
         assert "<TOOL_USE_EXAMPLES>" in text
         assert memory.persistent[Role.PLANNER] in text
 
-    def test_rules_representation_filters_examples(self, memory):
-        memory.append(rule())
-        memory.append(example())
-        text = memory.render(Role.PLANNER, Representation.RULES)
-        assert "When host 6" in text
-        assert "<example" not in text
-
-    def test_examples_representation_filters_rules(self, memory):
-        memory.append(rule())
-        memory.append(example())
-        text = memory.render(Role.PLANNER, Representation.EXAMPLES)
-        assert "When host 6" not in text
-        assert "<example" in text
+    def test_every_rule_renders_before_every_example(self, memory):
+        memory.append(example(2))
+        memory.append(rule(6))
+        memory.append(example(9))
+        text = memory.render(Role.PLANNER)
+        knowledge = text.index("<reflection_knowledge>")
+        examples = text.index("<TOOL_USE_EXAMPLES>")
+        assert knowledge < text.index("When host 6") < examples
+        assert text.count(EXAMPLE_TEXT, examples) == 2
 
     def test_insertion_order_preserved(self, memory):
         memory.append(rule(2))
         memory.append(rule(9))
-        text = memory.render(Role.PLANNER, Representation.RULES)
+        text = memory.render(Role.PLANNER)
         assert text.index("host 2") < text.index("host 9")
 
     def test_planner_render_never_contains_action_table(self, memory):
         memory.append(rule())
-        text = memory.render(Role.PLANNER, Representation.MIXED)
+        text = memory.render(Role.PLANNER)
         assert mem.ACTION_TABLE_MARKER not in text
         assert mem.ACTION_TABLE_MARKER in ACTION_REFERENCE_TABLE
 
@@ -255,7 +250,7 @@ class TestRender:
         memory.append(rule())
         fresh = memory.clone()
         before = (repr(memory), memory.to_dict(), memory.content_hash())
-        memory.render(Role.PLANNER, Representation.MIXED)
+        memory.render(Role.PLANNER)
         assert memory == fresh
         assert (repr(memory), memory.to_dict(), memory.content_hash()) == before
         assert memory.clone()._rendered == {}
@@ -299,10 +294,7 @@ class TestRender:
                 role, text = args
                 memory.persistent[role] = text
             for role in mem.ACTING_ROLES:
-                for representation in Representation:
-                    assert memory.render(role, representation) == reference_render(
-                        memory, role, representation
-                    )
+                assert memory.render(role) == reference_render(memory, role)
 
 
 class TestPersistence:
@@ -443,8 +435,8 @@ class TestInvariants:
     def test_hash_stable_across_learning_free_operations(self, memory):
         memory.append(rule())
         before = memory.content_hash()
-        memory.render(Role.PLANNER, Representation.MIXED)
-        memory.render(Role.ANALYST, Representation.RULES)
+        memory.render(Role.PLANNER)
+        memory.render(Role.ANALYST)
         assert memory.content_hash() == before
 
     def test_persistent_hash_unchanged_by_appends(self, memory):

@@ -575,6 +575,49 @@ class TestRunProtocol:
         assert report.aborted_attempts == reference.aborted_attempts
         assert report.artifacts_created == reference.artifacts_created - 1
 
+    def test_out_of_range_tool_host_does_not_fail_the_run(self, tmp_path):
+        """A Planner tool line on a host outside the network gets a tool error
+        and no sub-agent call; the run completes."""
+        analyst_requests = []
+
+        def responder(request):
+            system = request.messages[0].content
+            if "You are the Analyst" in system:
+                analyst_requests.append(request)
+            if "You are the Planner" in system and len(request.messages) == 2:
+                return "Tool: analyse host=13"
+            return mock_responder(request)
+
+        config = small_config(instances=2, stages=1)
+        run_protocol(config, run_dir=tmp_path, connector=MockConnector(responder))
+        assert (tmp_path / "final_report.json").exists()
+        assert analyst_requests == []
+
+    @pytest.mark.parametrize("representation", list(Representation))
+    @pytest.mark.parametrize("backend", ["scripted", "mock"])
+    def test_a_run_holds_only_the_kinds_its_representation_makes(
+        self, tmp_path, backend, representation
+    ):
+        """``synthesize`` alone picks the learning agents: every stage snapshot
+        holds only rules under ``rules``, only examples under ``examples``, and
+        a ``mixed`` run holds both. So rendering and the scripted policy use
+        every artifact a memory holds, with no filter of their own."""
+        config = small_config(backend=backend, representation=representation)
+        run_protocol(config, run_dir=tmp_path)
+        directories = sorted(tmp_path.glob("workspaces/instance_*/stage_*/memory"))
+        assert len(directories) == config.instances * config.stages
+        kinds = set()
+        for directory in directories:
+            loaded = memory_module.load_workspace(
+                directory, default_persistent(), config.memory_capacity
+            )
+            kinds.update(a.kind for role in loaded.dynamic for a in loaded.dynamic[role])
+        assert kinds == {
+            Representation.RULES: {ArtifactKind.RULE},
+            Representation.EXAMPLES: {ArtifactKind.EXAMPLE},
+            Representation.MIXED: {ArtifactKind.RULE, ArtifactKind.EXAMPLE},
+        }[representation]
+
     def test_one_evaluation_error_is_retried(self, tmp_path):
         """A provider error in the final evaluation costs that episode a second
         run, not the whole training."""
