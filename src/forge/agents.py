@@ -121,12 +121,16 @@ def default_memory(capacity: int = 20, persistent: dict[Role, str] | None = None
     return InstanceMemory(persistent=persistent or default_persistent(), capacity=capacity)
 
 
+PHASE_ADAPTATION = "adaptation"
+PHASE_EVALUATION = "evaluation"
+
+
 @dataclass(frozen=True)
 class CallContext:
     """Accounting coordinates threaded through every backend call."""
 
     instance: int = 0
-    phase: str = "adaptation"
+    phase: str = PHASE_ADAPTATION
 
     def meta(self, role: Role) -> RequestMeta:
         return _request_meta(self.instance, self.phase, role)
@@ -141,24 +145,12 @@ def _request_meta(instance: int, phase: str, role: Role) -> RequestMeta:
 
 
 def clause_matches(clause: Clause, observation: Observation, confirmed_host: int | None) -> bool:
-    """Whether ``clause`` fires; ``confirmed_host`` is ``observation.confirmed_host()``."""
-    anomalous, suspicious, new_file = observation.flags(clause.host)
-    confirmed = confirmed_host == clause.host
-    if clause.trigger == "compromised":
-        return anomalous or suspicious or new_file or confirmed
-    if clause.trigger == "anomalous_process":
-        return anomalous
-    if clause.trigger == "suspicious_connection":
-        return suspicious
-    if clause.trigger == "new_file":
-        return new_file
-    if clause.trigger == "confirmed":
-        return confirmed
-    return False
+    """Whether ``clause``'s host shows a flag or is ``observation.confirmed_host()``."""
+    return True in observation.flags(clause.host) or confirmed_host == clause.host
 
 
 def clause_action(clause: Clause) -> BlueAction:
-    return lookup_action(clause.response, clause.action_target())
+    return lookup_action(clause.response, None if clause.response == "Monitor" else clause.host)
 
 
 def make_artifact_id(kind: ArtifactKind, origin: Origin, seq: int) -> str:
@@ -347,7 +339,8 @@ _SUMMARY_RE = re.compile(r"Summary:\s*(.+)")
 _FOCUS_RE = re.compile(r"Focus:\s*(\w+)")
 _RULE_LINE_RE = re.compile(r"^\s*-?\s*(When\b.*\bthen\b.*)$", re.IGNORECASE)
 _CLAUSE_HOST_RE = re.compile(r"host\s+(\d+)", re.IGNORECASE)
-_CLAUSE_VERB_RE = re.compile(r"\b(restore|remove|decoy|analyse|monitor)\b", re.IGNORECASE)
+# The first action verb after "then": a verb in the condition is evidence, not the response.
+_CLAUSE_VERB_RE = re.compile(r"(?is)\bthen\b.*?\b(restore|remove|decoy|analyse|monitor)\b")
 
 
 def parse_action(text: str) -> BlueAction | None:

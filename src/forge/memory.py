@@ -19,6 +19,7 @@ from pathlib import Path
 import yaml
 from yaml import CSafeDumper
 
+from .cage_lite import ActionKind
 from .calibration import HOST_COUNT
 
 
@@ -60,7 +61,8 @@ ACTION_TABLE_MARKER = "ACTION REFERENCE TABLE"
 _RULE_SHAPE = re.compile(r"\bwhen\b.+?\bthen\b", re.IGNORECASE | re.DOTALL)
 _EXAMPLE_MARKERS = ("Thought:", "Tool:", "Observation:", "Answer:")
 
-VALID_CLAUSE_RESPONSES = ("Monitor", "Analyse", "Remove", "Restore", "Decoy")
+VALID_CLAUSE_RESPONSES = tuple(kind.value for kind in ActionKind)
+_CLAUSE_KEYS = {"host", "response"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,17 +74,10 @@ class Origin:
 
 @dataclass(frozen=True, slots=True)
 class Clause:
-    """Machine-readable condition -> action pair for scripted policies.
-
-    ``trigger`` names the evidence that arms the clause: ``compromised``
-    (any indicator flag or a confirmed inspection), one specific flag name,
-    or ``confirmed`` (inspection result only).
-    """
+    """Scripted policies play ``response`` on ``host`` once it is flagged or confirmed."""
 
     host: int
-    trigger: str = "compromised"
-    response: str = "Restore"
-    target: int | None = None
+    response: str
 
     def validate(self) -> None:
         if self.response not in VALID_CLAUSE_RESPONSES:
@@ -93,32 +88,19 @@ class Clause:
             raise ArtifactValidationError(
                 f"clause host must be in 0..{HOST_COUNT - 1}, got {self.host}"
             )
-        if self.target is not None and not 0 <= self.target < HOST_COUNT:
-            raise ArtifactValidationError(
-                f"clause target must be in 0..{HOST_COUNT - 1}, got {self.target}"
-            )
-
-    def action_target(self) -> int | None:
-        if self.response == "Monitor":
-            return None
-        return self.host if self.target is None else self.target
 
     def to_dict(self) -> dict:
-        return {
-            "host": self.host,
-            "trigger": self.trigger,
-            "response": self.response,
-            "target": self.target,
-        }
+        return {"host": self.host, "response": self.response}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Clause":
-        return cls(
-            host=int(data["host"]),
-            trigger=str(data.get("trigger", "compromised")),
-            response=str(data.get("response", "Restore")),
-            target=None if data.get("target") is None else int(data["target"]),
-        )
+        keys = set(data) if isinstance(data, dict) else set()
+        if keys != _CLAUSE_KEYS:
+            raise ArtifactValidationError(
+                f"clause keys must be host and response: missing {sorted(_CLAUSE_KEYS - keys)},"
+                f" unknown {sorted(keys - _CLAUSE_KEYS, key=str)}"
+            )
+        return cls(host=int(data["host"]), response=str(data["response"]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,6 +33,8 @@ import yaml
 
 from . import cage_lite
 from .agents import (
+    PHASE_ADAPTATION,
+    PHASE_EVALUATION,
     CallContext,
     LLMBackend,
     ScriptedBackend,
@@ -65,9 +67,6 @@ class RunError(RuntimeError):
 # Sentinel recorded when a checkpoint fails even after its retry. A failed
 # checkpoint never graduates and never wins champion selection.
 CHECKPOINT_FAILED = float("-inf")
-
-PHASE_ADAPTATION = "adaptation"
-PHASE_EVALUATION = "evaluation"
 
 
 @dataclass(frozen=True)

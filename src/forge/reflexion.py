@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import cage_lite
-from .agents import CallContext, serialize_snapshot
+from .agents import PHASE_ADAPTATION, CallContext, serialize_snapshot
 from .cage_lite import StepRecord, episode_return
 from .llm_connector import ConnectorError
 from .memory import InstanceMemory, MemoryArtifact, Origin, Representation
@@ -175,7 +175,7 @@ def reflexion_loop(
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
-    ctx = CallContext(instance=instance, phase="adaptation")
+    ctx = CallContext(instance=instance, phase=PHASE_ADAPTATION)
     for attempt in range(1, attempts + 1):
         env_seed = derive_seed(base_seed, stage, instance, attempt)
         try:

@@ -42,7 +42,6 @@ from forge.memory import (
     ACTION_TABLE_MARKER,
     VALID_CLAUSE_RESPONSES,
     ArtifactKind,
-    ArtifactValidationError,
     Clause,
     MemoryArtifact,
     Origin,
@@ -51,12 +50,12 @@ from forge.memory import (
 from forge.reflexion import AttemptStatus, FailureSnapshot, run_attempt
 
 
-def clause_rule(host: int, response: str = "Restore", trigger: str = "compromised"):
+def clause_rule(host: int, response: str = "Restore"):
     return MemoryArtifact(
         kind=ArtifactKind.RULE,
         role=Role.PLANNER,
         text=f"When host {host} is compromised, then handle host {host}.",
-        clause=Clause(host=host, response=response, trigger=trigger),
+        clause=Clause(host=host, response=response),
         origin=Origin(1, 1, 1),
         artifact_id=f"rule-{host}-{response}",
     )
@@ -191,17 +190,6 @@ class TestScriptedActionTable:
         for host in range(13):
             expected = BlueAction(kind) if kind is ActionKind.MONITOR else BlueAction(kind, host)
             assert clause_action(Clause(host=host, response=response)) == expected
-            assert clause_action(Clause(host=0, response=response, target=host)) == expected
-
-    def test_out_of_range_clause_target_still_raises(self):
-        # Refused when the artifact is built, so no decision ever reads it.
-        with pytest.raises(ArtifactValidationError, match="target"):
-            MemoryArtifact(
-                kind=ArtifactKind.RULE,
-                role=Role.PLANNER,
-                text="When host 3 is compromised, then restore host 13.",
-                clause=Clause(host=3, response="Restore", target=13),
-            )
 
     def test_roles_are_walked_in_acting_order_whatever_the_dict_order(self):
         # Each role holds a clause on host 3 with its own response, so the
@@ -341,6 +329,15 @@ class TestParsing:
         clause = parse_rule_clause("When host 9 is compromised, then restore host 9.")
         assert clause == Clause(host=9, response="Restore")
         assert parse_rule_clause("When things look bad, then escalate.") is None
+
+    def test_parse_rule_clause_reads_the_response_after_then(self):
+        # The condition's "decoy" is evidence, not the rule's response.
+        clause = parse_rule_clause("When a decoy on host 7 was consumed, then restore host 7.")
+        assert clause == Clause(host=7, response="Restore")
+        # The host is still the first one the rule names.
+        clause = parse_rule_clause("When host 4 is flagged, then analyse host 5.")
+        assert clause == Clause(host=4, response="Analyse")
+        assert parse_rule_clause("When host 4 needs a restore, then wait.") is None
 
 
 class RecordingConnector:

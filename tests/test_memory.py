@@ -50,7 +50,7 @@ def example(host: int = 6, role: Role = Role.PLANNER) -> MemoryArtifact:
         kind=ArtifactKind.EXAMPLE,
         role=role,
         text=EXAMPLE_TEXT,
-        clause=Clause(host=host),
+        clause=Clause(host=host, response="Restore"),
         origin=Origin(1, 1, 1),
         artifact_id=f"example-{host}",
     )
@@ -135,21 +135,14 @@ class TestArtifactValidation:
                 clause=Clause(host=6, response="Nuke"),
             )
 
-    @pytest.mark.parametrize(
-        "clause, field",
-        [(Clause(host=13), "host"),
-         (Clause(host=-1), "host"),
-         (Clause(host=6, target=13), "target"),
-         (Clause(host=6, target=-1), "target")],
-        ids=["host-13", "host-minus-1", "target-13", "target-minus-1"],
-    )
-    def test_out_of_range_clause_host_rejected(self, clause, field):
-        with pytest.raises(ArtifactValidationError, match=f"clause {field} must be in 0..12"):
+    @pytest.mark.parametrize("host", [13, -1], ids=["host-13", "host-minus-1"])
+    def test_out_of_range_clause_host_rejected(self, host):
+        with pytest.raises(ArtifactValidationError, match="clause host must be in 0..12"):
             MemoryArtifact(
                 kind=ArtifactKind.RULE,
                 role=Role.PLANNER,
                 text="When host 6 is compromised, then restore host 6.",
-                clause=clause,
+                clause=Clause(host=host, response="Restore"),
             )
 
     def test_edge_hosts_accepted(self):
@@ -158,7 +151,7 @@ class TestArtifactValidation:
                 kind=ArtifactKind.RULE,
                 role=Role.PLANNER,
                 text=f"When host {host} is compromised, then restore host {host}.",
-                clause=Clause(host=host, target=12 - host),
+                clause=Clause(host=host, response="Restore"),
             )
 
     def test_out_of_range_clause_in_a_workspace_fails_its_load(self, memory, tmp_path):
@@ -169,6 +162,27 @@ class TestArtifactValidation:
         assert "host: 6" in text
         path.write_text(text.replace("host: 6", "host: 13"), encoding="utf-8")
         with pytest.raises(ArtifactValidationError, match="clause host"):
+            mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
+
+    @pytest.mark.parametrize(
+        "clause, key",
+        [({"host": 6, "trigger": "compromised", "response": "Restore"}, "trigger"),
+         ({"host": 6, "response": "Restore", "target": None}, "target"),
+         ({"host": 6}, "response"),
+         ({"host": 6, "response": "Restore", "severity": "high"}, "severity")],
+        ids=["old-trigger", "old-target", "no-response", "extra-key"],
+    )
+    def test_clause_with_other_keys_fails_its_load(self, memory, tmp_path, clause, key):
+        # A clause is exactly a host and a response: an old trigger or
+        # target, a missing response or any other key is refused, not
+        # defaulted or ignored.
+        memory.append(rule(6))
+        mem.save_workspace(memory, tmp_path)
+        path = tmp_path / mem.SNAPSHOT_FILE
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw[Role.PLANNER.value][0]["clause"] = clause
+        path.write_text(mem.dump_yaml(raw), encoding="utf-8")
+        with pytest.raises(ArtifactValidationError, match=f"clause keys .*'{key}'"):
             mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
 
 

@@ -425,10 +425,10 @@ class TestRunProtocol:
     def test_outputs_pinned_across_versions(self, tmp_path):
         """SHA-256 of the report, every memory snapshot and every failure record.
 
-        The report's bytes changed last when the config lost its
-        ``max_workers`` key. The manifest changed last when each memory
-        snapshot became one ``artifacts.yaml`` instead of six files split by
-        role and kind, with the same artifacts. A change that alters any of
+        Both digests changed last when a learned clause lost its unused
+        ``trigger`` and ``target`` keys: each snapshot clause is two lines
+        shorter, and the report's memory hashes move with it. Trajectories
+        and failure records kept their bytes. A change that alters any of
         these bytes must say why and update them.
         """
         run_protocol(small_config(representation=Representation.MIXED), run_dir=tmp_path)
@@ -440,12 +440,12 @@ class TestRunProtocol:
             for path in [report, *memories, *failures]
         )
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "66b3deee281961169e75aa4eef8262d2c997ce4f9e902f009ca132b1f73b3225"
+            "47bb366cd17838cc2bcd1a873423c4c062c7d64e91d9794e9db0eb46c342d646"
         )
         assert len(memories) == 3 * 2  # one memory file per instance and stage
         assert len(read_attempt_logs(tmp_path)[1]) == 12  # failure records
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == (
-            "ebbd023874dcca3dff6dcc3e731c3e56b127c19a9de9a56af53b64f310ae303f"
+            "f7a733c30ed88799a41ded8a76c9470f8818fabff23c455f6aa948dfb025d80a"
         )
 
     @pytest.mark.parametrize(
@@ -453,18 +453,18 @@ class TestRunProtocol:
         [
             (
                 Representation.RULES,
-                "5acc108e2aed87033a4933a2336cced93e3e77e291583d8518ea205dff7290b9",
-                "d6fadbaf56f16c3d7e42fb60f3495cb3c6d9cd5d387e6493508997b69cb1bfd1",
+                "81788b971eb113cd240dcbc34b07ed84d9b10a472db157b44cc871806a612fc5",
+                "fe492b56b9011e9de6463daeff12f27059611debbf42913577d5ca63fbf2dbc2",
             ),
             (
                 Representation.EXAMPLES,
-                "19f4c9000cc8869202c9188333e58dd214ea058a42d8ec84bf1bccebe7ca453e",
-                "5db4760d0dd8dd2d24cf31c50e5012d0f3545b99902670e567f810ae57faf252",
+                "5f0698d1958e1b1e4e6704375bc197feb48ecf239b78732bc222ed151320e8bf",
+                "ecd13a6bf4f17594cbfc8b47986ffb8760be0a4a9d1eec6f22d303539287d4e1",
             ),
             (
                 Representation.MIXED,
-                "5a6c516573004653c089a9721d0c2752c2c7539693454b7d6a4ef36125af9a8c",
-                "709effcc7ae9c760f46416c80858b3d90a97710dd7ec550b3c8e9c4eb81ecf03",
+                "1f3bed6d2c8823bdce1dedc377e31139a455e6225bcdb1b15004b0bae070ae31",
+                "0dab87ad82a6ef1e9a3d140dbfb7ee6143f2cb88893eb111f6fd7b1f92a46c9a",
             ),
         ],
     )
@@ -474,11 +474,12 @@ class TestRunProtocol:
         """SHA-256 of every file of a scripted run directory.
 
         The whole directory, trajectories included, is deterministic. The
-        report digests were re-pinned when the config lost its
-        ``max_workers`` key. The manifest digests and the file count were
-        re-pinned when each memory snapshot became one ``artifacts.yaml``
-        instead of six files split by role and kind. A change that alters
-        any of these bytes must say why and update them.
+        report and manifest digests were re-pinned when a learned clause
+        lost its unused ``trigger`` and ``target`` keys: only the snapshots
+        and the memory hashes in the reports moved. The file count was
+        re-pinned when each memory snapshot became one ``artifacts.yaml``.
+        A change that alters any of these bytes must say why and update
+        them.
         """
         config = small_config(backend="scripted", representation=representation)
         run_protocol(config, run_dir=tmp_path)
