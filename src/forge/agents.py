@@ -213,7 +213,7 @@ def serialize_snapshot(snapshot: "FailureSnapshot") -> str:
     ]
     lines.extend(format_step_record(r) for r in snapshot.trajectory)
     lines.append("memory at failure:")
-    lines.append(snapshot.memory_at_failure.render(Role.PLANNER))
+    lines.append(snapshot.memory_at_failure.render())
     return "\n".join(lines)
 
 
@@ -246,11 +246,10 @@ class ScriptedBackend:
         ctx: CallContext | None = None,
     ) -> BlueAction:
         confirmed = observation.confirmed_host()
-        for role in ACTING_ROLES:
-            for artifact in memory.dynamic[role]:
-                clause = artifact.clause
-                if clause is not None and clause_matches(clause, observation, confirmed):
-                    return clause_action(clause)
+        for artifact in memory.dynamic:
+            clause = artifact.clause
+            if clause is not None and clause_matches(clause, observation, confirmed):
+                return clause_action(clause)
         return heuristic_policy(observation, None)
 
     # -- learning ----------------------------------------------------------
@@ -269,7 +268,6 @@ class ScriptedBackend:
             clause = Clause(host=host, response=response)
         artifact = MemoryArtifact(
             kind=ArtifactKind.RULE,
-            role=Role.PLANNER,
             text=text,
             clause=clause,
             origin=origin,
@@ -282,24 +280,36 @@ class ScriptedBackend:
     ) -> list[MemoryArtifact]:
         origin = snapshot.origin
         host, response = self._remediation(snapshot)
-        target = 0 if host is None else host
-        action = response if host is not None else "Restore"
-        text = (
-            f"<example description='{action}CompromisedHost{target}'>\n"
-            f"Thought: Host {target} shows compromise indicators and the step penalty is escalating.\n"
-            f"Tool: rank_actions host={target} severity=high situation=confirmed\n"
-            "PAUSE\n"
-            f'Observation: [{{"action": "{action} {target}", "confidence": 0.95}}, '
-            f'{{"action": "Monitor", "confidence": 0.2}}]\n'
-            "Thought: Immediate containment stops the damage before it spreads.\n"
-            f"Answer: {action} {target}\n"
-            "</example>"
-        )
+        if host is None:
+            # Like the host-less rule: keep monitoring, which is no clause.
+            text = (
+                "<example description='MonitorWithoutCulprit'>\n"
+                "Thought: No chain host is compromised, so there is nothing to contain.\n"
+                "Tool: rank_actions host=0 severity=none situation=unconfirmed\n"
+                "PAUSE\n"
+                'Observation: [{"action": "Monitor", "confidence": 0.95}]\n'
+                "Thought: Keep monitoring the network until a host shows indicators.\n"
+                "Answer: Monitor\n"
+                "</example>"
+            )
+            clause = None
+        else:
+            text = (
+                f"<example description='{response}CompromisedHost{host}'>\n"
+                f"Thought: Host {host} shows compromise indicators and the step penalty is escalating.\n"
+                f"Tool: rank_actions host={host} severity=high situation=confirmed\n"
+                "PAUSE\n"
+                f'Observation: [{{"action": "{response} {host}", "confidence": 0.95}}, '
+                f'{{"action": "Monitor", "confidence": 0.2}}]\n'
+                "Thought: Immediate containment stops the damage before it spreads.\n"
+                f"Answer: {response} {host}\n"
+                "</example>"
+            )
+            clause = Clause(host=host, response=response)
         artifact = MemoryArtifact(
             kind=ArtifactKind.EXAMPLE,
-            role=Role.PLANNER,
             text=text,
-            clause=None if host is None else Clause(host=host, response=response),
+            clause=clause,
             origin=origin,
             artifact_id=make_artifact_id(ArtifactKind.EXAMPLE, origin, 1),
         )
@@ -367,6 +377,14 @@ def parse_rule_clause(text: str) -> Clause | None:
     return Clause(host=int(host_match.group(1)), response=verb_match.group(1).capitalize())
 
 
+def parse_example_clause(text: str) -> Clause | None:
+    """The clause of an example's ``Answer:`` line: None for Monitor or no valid answer."""
+    action = parse_action(text)
+    if action is None or action.kind is ActionKind.MONITOR:
+        return None
+    return Clause(host=action.target, response=action.kind.value)
+
+
 class LLMBackend:
     """Planner/Analyst/ActionChooser hierarchy driven by chat completions."""
 
@@ -385,10 +403,12 @@ class LLMBackend:
     # -- plumbing ----------------------------------------------------------
 
     def _system_prompt(self, role: Role, memory: InstanceMemory | None = None) -> str:
-        """An acting role's prompt shows its section of ``memory``."""
+        """The Planner sees ``memory``'s learned artifacts; a sub-agent only its persistent text."""
         base = _DEFAULT_SYSTEM_PROMPTS[role]
+        if role is Role.PLANNER:
+            return base + "\n\n" + memory.render()
         if role in ACTING_ROLES:
-            return base + "\n\n" + memory.render(role)
+            return base + "\n\n" + memory.persistent[role]
         # Learning agents get the action reference table on top of their prompt.
         return base + "\n\n" + ACTION_REFERENCE_TABLE
 
@@ -566,9 +586,8 @@ class LLMBackend:
             try:
                 artifact = MemoryArtifact(
                     kind=ArtifactKind.EXAMPLE,
-                    role=Role.PLANNER,
                     text=text.strip(),
-                    clause=self._example_clause(text),
+                    clause=parse_example_clause(text),
                     origin=origin,
                     artifact_id=make_artifact_id(ArtifactKind.EXAMPLE, origin, 1),
                 )
@@ -596,7 +615,6 @@ class LLMBackend:
                 artifacts.append(
                     MemoryArtifact(
                         kind=ArtifactKind.RULE,
-                        role=Role.PLANNER,
                         text=rule_text,
                         clause=parse_rule_clause(rule_text),
                         origin=origin,
@@ -606,12 +624,6 @@ class LLMBackend:
             except ArtifactValidationError:
                 continue
         return artifacts
-
-    def _example_clause(self, text: str) -> Clause | None:
-        action = parse_action(text)
-        if action is None or action.kind is ActionKind.MONITOR or action.target is None:
-            return None
-        return Clause(host=action.target, response=action.kind.value)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,13 @@ class ActionKind(Enum):
     DECOY = "Decoy"
 
 
+# The members ``step`` and its helpers compare against, bound once: a module
+# global loads several times faster than an enum class attribute.
+_USER_ACCESS, _ROOT_ACCESS = CompromiseLevel.USER_ACCESS, CompromiseLevel.ROOT_ACCESS
+_ANALYSE, _REMOVE = ActionKind.ANALYSE, ActionKind.REMOVE
+_RESTORE, _DECOY = ActionKind.RESTORE, ActionKind.DECOY
+
+
 class InvalidActionError(ValueError):
     """Raised for a malformed action (bad target, target on Monitor, ...)."""
 
@@ -75,7 +82,8 @@ class HostCompromise:
 _HOST_VALUES: tuple[tuple[HostCompromise, HostCompromise], ...] = tuple(
     (HostCompromise(level, False), HostCompromise(level, True)) for level in CompromiseLevel
 )
-_CLEAN = _HOST_VALUES[CompromiseLevel.CLEAN][False]
+_CLEAN_BY_DECOY = _HOST_VALUES[CompromiseLevel.CLEAN]
+_CLEAN = _CLEAN_BY_DECOY[False]
 
 
 def _subnet_slice(hosts: tuple[int, ...]) -> slice:
@@ -134,14 +142,18 @@ class Observation(NamedTuple):
             self.new_file[host],
         )
 
-    def flagged_hosts(self) -> list[int]:
+    def first_flagged_host(self) -> int | None:
+        """The lowest host showing any flag; the scan stops there."""
         flags = zip(self.anomalous_process, self.suspicious_connection, self.new_file)
-        return [h for h, (a, s, n) in enumerate(flags) if a or s or n]
+        for host, (a, s, n) in enumerate(flags):
+            if a or s or n:
+                return host
+        return None
 
     def confirmed_host(self) -> int | None:
         """The analysed host, if the inspection found at least user access."""
         level = self.analysed_level
-        if level is not None and level >= CompromiseLevel.USER_ACCESS:
+        if level is not None and level >= _USER_ACCESS:
             return self.analysed_host
         return None
 
@@ -177,7 +189,7 @@ def _progress(hosts: Sequence[HostCompromise], chain: tuple[int, ...]) -> int:
 
 def _foothold(hosts: Sequence[HostCompromise], chain: tuple[int, ...]) -> int | None:
     for host in reversed(chain):
-        if hosts[host].level >= CompromiseLevel.USER_ACCESS:
+        if hosts[host].level >= _USER_ACCESS:
             return host
     return None
 
@@ -210,30 +222,30 @@ def _reward_tenths(hosts: Sequence[HostCompromise], action_kind: ActionKind) -> 
     enterprise = max(levels[_ENTERPRISE_SLICE])
     operational = max(levels[_OPERATIONAL_SLICE])
     server = max(enterprise, operational)
-    user_compromised = user >= CompromiseLevel.USER_ACCESS
+    user_compromised = user >= _USER_ACCESS
 
-    if operational == CompromiseLevel.ROOT_ACCESS:
+    if operational == _ROOT_ACCESS:
         tenths = cal.SEVERE_BASE_TENTHS
-        if enterprise >= CompromiseLevel.USER_ACCESS:
+        if enterprise >= _USER_ACCESS:
             tenths += cal.SEVERE_ENTERPRISE_EXTRA_TENTHS
         if user_compromised:
             tenths += cal.SEVERE_USER_EXTRA_TENTHS
-    elif server >= CompromiseLevel.USER_ACCESS:
-        if server == CompromiseLevel.ROOT_ACCESS:
+    elif server >= _USER_ACCESS:
+        if server == _ROOT_ACCESS:
             tenths = cal.MODERATE_ROOT_TENTHS
         else:
             tenths = cal.MODERATE_BASE_TENTHS
         if user_compromised:
             tenths += cal.MODERATE_USER_EXTRA_TENTHS
     elif user_compromised:
-        if user == CompromiseLevel.ROOT_ACCESS:
+        if user == _ROOT_ACCESS:
             tenths = cal.SMALL_ROOT_TENTHS
         else:
             tenths = cal.SMALL_USER_LEVEL_TENTHS
     else:
         tenths = 0
 
-    if action_kind is ActionKind.RESTORE:
+    if action_kind is _RESTORE:
         tenths += cal.RESTORE_COST_TENTHS
     return tenths
 
@@ -253,7 +265,7 @@ def _observe(
     rand = rng.random
     false_negative = cal.OBS_FALSE_NEGATIVE_RATE
     false_positive = cal.OBS_FALSE_POSITIVE_RATE
-    user_access, root_access = CompromiseLevel.USER_ACCESS, CompromiseLevel.ROOT_ACCESS
+    user_access, root_access = _USER_ACCESS, _ROOT_ACCESS
     anomalous: list[bool] = []
     suspicious: list[bool] = []
     new_file: list[bool] = []
@@ -336,19 +348,19 @@ def step(episode: Episode, action: BlueAction) -> tuple[Observation, float]:
     reveal = False
     attacker_stunned = False
 
-    if kind is ActionKind.ANALYSE:
+    if kind is _ANALYSE:
         analysed_host = target
         reveal = rng.random() < cal.ANALYSE_REVEAL_PROB
-    elif kind is ActionKind.REMOVE:
+    elif kind is _REMOVE:
         host = hosts[target]
-        if host.level == CompromiseLevel.USER_ACCESS and rng.random() < cal.REMOVE_SUCCESS_PROB:
-            hosts[target] = _HOST_VALUES[CompromiseLevel.CLEAN][host.decoy_present]
-    elif kind is ActionKind.RESTORE:
+        if host.level == _USER_ACCESS and rng.random() < cal.REMOVE_SUCCESS_PROB:
+            hosts[target] = _CLEAN_BY_DECOY[host.decoy_present]
+    elif kind is _RESTORE:
         # Reimaging the host the attacker operates from costs it this
         # step's operation on top of the lost milestones.
         attacker_stunned = target == _foothold(hosts, episode.chain)
         hosts[target] = _CLEAN
-    elif kind is ActionKind.DECOY:
+    elif kind is _DECOY:
         hosts[target] = _HOST_VALUES[hosts[target].level][True]
 
     if not attacker_stunned:
@@ -416,9 +428,9 @@ def heuristic_policy(observation: Observation, rng: random.Random | None) -> Blu
     confirmed = observation.confirmed_host()
     if confirmed is not None:
         return lookup_action("Restore", confirmed)
-    flagged = observation.flagged_hosts()
-    if flagged:
-        return lookup_action("Analyse", flagged[0])
+    host = observation.first_flagged_host()
+    if host is not None:
+        return lookup_action("Analyse", host)
     return lookup_action("Monitor")
 
 

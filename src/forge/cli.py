@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import calibration as cal
+from .agents import PHASE_ADAPTATION, PHASE_EVALUATION
 from .cage_lite import baseline_returns
 from .experiments import render_study_table, run_directional_study
 from .metrics import (
@@ -49,8 +50,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"graduated {summary.graduated}/{summary.instances}")
     tokens = result.report.tokens
     print(
-        "tokens adaptation prompt={prompt} completion={completion}".format(**tokens["adaptation"])
-        + " | evaluation prompt={prompt} completion={completion}".format(**tokens["evaluation"])
+        "tokens adaptation prompt={prompt} completion={completion}".format(**tokens[PHASE_ADAPTATION])
+        + " | evaluation prompt={prompt} completion={completion}".format(**tokens[PHASE_EVALUATION])
     )
     return 0
 

@@ -1,10 +1,12 @@
 """Per-instance prompt memory: artifacts, capacity, rendering, persistence.
 
 Each agent instance owns one :class:`InstanceMemory` holding a persistent
-(user-supplied, never mutated) text section and a dynamic artifact list per
-acting role. Learned knowledge arrives as :class:`MemoryArtifact` values,
-either conditional Rules or demonstration Examples, optionally carrying a
-machine-readable clause that scripted policies can execute directly.
+(user-supplied, never mutated) text section per acting role and one list of
+learned artifacts. Learned knowledge arrives as :class:`MemoryArtifact`
+values, either conditional Rules or demonstration Examples, optionally
+carrying a machine-readable clause that scripted policies can execute
+directly. Only the Planner's prompt shows the learned list; the Analyst and
+Action Chooser see their persistent text alone.
 """
 
 from __future__ import annotations
@@ -62,7 +64,20 @@ _RULE_SHAPE = re.compile(r"\bwhen\b.+?\bthen\b", re.IGNORECASE | re.DOTALL)
 _EXAMPLE_MARKERS = ("Thought:", "Tool:", "Observation:", "Answer:")
 
 VALID_CLAUSE_RESPONSES = tuple(kind.value for kind in ActionKind)
-_CLAUSE_KEYS = {"host", "response"}
+_CLAUSE_KEYS = frozenset({"host", "response"})
+_ORIGIN_KEYS = frozenset({"stage", "attempt", "instance"})
+_ARTIFACT_KEYS = frozenset({"artifact_id", "kind", "text", "clause", "origin"})
+
+
+def _exact_keys(data, expected: frozenset, what: str) -> dict:
+    """``data`` if it is a mapping with exactly the keys ``expected``, else an error naming them."""
+    keys = set(data) if isinstance(data, dict) else set()
+    if keys != expected:
+        raise ArtifactValidationError(
+            f"{what} keys must be {', '.join(sorted(expected))}: missing {sorted(expected - keys)},"
+            f" unknown {sorted(keys - expected, key=str)}"
+        )
+    return data
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,19 +109,13 @@ class Clause:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Clause":
-        keys = set(data) if isinstance(data, dict) else set()
-        if keys != _CLAUSE_KEYS:
-            raise ArtifactValidationError(
-                f"clause keys must be host and response: missing {sorted(_CLAUSE_KEYS - keys)},"
-                f" unknown {sorted(keys - _CLAUSE_KEYS, key=str)}"
-            )
+        _exact_keys(data, _CLAUSE_KEYS, "clause")
         return cls(host=int(data["host"]), response=str(data["response"]))
 
 
 @dataclass(frozen=True, slots=True)
 class MemoryArtifact:
     kind: ArtifactKind
-    role: Role
     text: str
     clause: Clause | None = None
     origin: Origin = Origin(0, 0, 0)
@@ -116,8 +125,6 @@ class MemoryArtifact:
         self.validate()
 
     def validate(self) -> None:
-        if self.role not in ACTING_ROLES:
-            raise ArtifactValidationError(f"artifact role must be an acting role, got {self.role}")
         if not self.text or not self.text.strip():
             raise ArtifactValidationError("artifact text must be non-empty")
         # Snapshot files and the content hash are UTF-8; a lone surrogate
@@ -139,33 +146,25 @@ class MemoryArtifact:
             self.clause.validate()
 
     def to_dict(self) -> dict:
+        o = self.origin
         return {
             "artifact_id": self.artifact_id,
             "kind": self.kind.value,
-            "role": self.role.value,
             "text": self.text,
             "clause": None if self.clause is None else self.clause.to_dict(),
-            "origin": {
-                "stage": self.origin.stage,
-                "attempt": self.origin.attempt,
-                "instance": self.origin.instance,
-            },
+            "origin": {"stage": o.stage, "attempt": o.attempt, "instance": o.instance},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemoryArtifact":
-        origin = data.get("origin") or {}
+        _exact_keys(data, _ARTIFACT_KEYS, "artifact")
+        origin = _exact_keys(data["origin"], _ORIGIN_KEYS, "origin")
         return cls(
             kind=ArtifactKind(data["kind"]),
-            role=Role(data["role"]),
             text=data["text"],
-            clause=None if data.get("clause") is None else Clause.from_dict(data["clause"]),
-            origin=Origin(
-                stage=int(origin.get("stage", 0)),
-                attempt=int(origin.get("attempt", 0)),
-                instance=int(origin.get("instance", 0)),
-            ),
-            artifact_id=str(data.get("artifact_id", "")),
+            clause=None if data["clause"] is None else Clause.from_dict(data["clause"]),
+            origin=Origin(**{key: int(value) for key, value in origin.items()}),
+            artifact_id=str(data["artifact_id"]),
         )
 
 
@@ -177,50 +176,43 @@ class InstanceMemory:
     """Persistent + dynamic memory for one agent instance.
 
     ``persistent`` maps each acting role to fixed instruction text and is
-    never touched by learning operations. ``dynamic`` holds the learned
-    artifacts, capped at ``capacity`` per role with FIFO eviction.
+    never touched by learning operations; a role left out gets empty text.
+    ``dynamic`` is the one list of learned artifacts, capped at
+    ``capacity`` with FIFO eviction.
     """
 
     persistent: dict[Role, str]
-    dynamic: dict[Role, list[MemoryArtifact]] = field(default_factory=dict)
+    dynamic: list[MemoryArtifact] = field(default_factory=list)
     capacity: int = DEFAULT_CAPACITY
-    # role -> (persistent text, artifacts, rendered text) of the last
-    # render; not part of the memory's value.
-    _rendered: dict[Role, tuple[str, tuple[MemoryArtifact, ...], str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # (value key, digest) of the last content hash; see ``content_hash``.
-    _hashed: tuple[tuple, str] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Not part of the memory's value: (persistent text, artifacts, rendered
+    # text) of the last render, and (value key, digest) of the last hash.
+    _rendered: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hashed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise MemoryProtocolError("capacity must be at least 1")
-        for role in ACTING_ROLES:
-            self.persistent.setdefault(role, "")
-            self.dynamic.setdefault(role, [])
+        self.persistent = {**dict.fromkeys(ACTING_ROLES, ""), **self.persistent}
         if ACTION_TABLE_MARKER in self.persistent[Role.PLANNER]:
             raise MemoryProtocolError("planner persistent memory must not contain the action table")
 
     def append(self, artifact: MemoryArtifact) -> None:
-        # A MemoryArtifact is frozen and validated when built.
-        bucket = self.dynamic[artifact.role]
-        bucket.append(artifact)
-        while len(bucket) > self.capacity:
-            bucket.pop(0)
+        # A MemoryArtifact is frozen and validated when built. The oldest
+        # artifacts beyond capacity are evicted.
+        self.dynamic.append(artifact)
+        del self.dynamic[: -self.capacity]
 
-    def render(self, role: Role) -> str:
-        """The role's prompt section: persistent text, then every rule, then every example.
+    def render(self) -> str:
+        """The Planner's prompt section: persistent text, then every rule, then every example.
 
-        The text is kept until the role's persistent text or artifacts
-        change. Comparing the artifact tuple is cheap because tuple equality
-        short-circuits on identity, and it catches every way the list can
-        change: ``append``, ``replace_dynamic`` or a direct edit.
+        The text is kept until the Planner's persistent text or the
+        artifacts change. Comparing the artifact tuple is cheap because
+        tuple equality short-circuits on identity, and it catches every way
+        the list can change: ``append``, ``replace_dynamic`` or a direct edit.
         """
-        persistent = self.persistent[role]
-        artifacts = tuple(self.dynamic[role])
-        cached = self._rendered.get(role)
+        persistent = self.persistent[Role.PLANNER]
+        artifacts = tuple(self.dynamic)
+        cached = self._rendered
         if cached is not None and cached[0] == persistent and cached[1] == artifacts:
             return cached[2]
         rule_lines = "\n".join(
@@ -234,29 +226,21 @@ class InstanceMemory:
                 f"<TOOL_USE_EXAMPLES>\n{example_blocks}\n</TOOL_USE_EXAMPLES>",
             )
         )
-        self._rendered[role] = (persistent, artifacts, text)
+        self._rendered = (persistent, artifacts, text)
         return text
 
     def clone(self) -> "InstanceMemory":
-        return InstanceMemory(
-            persistent=dict(self.persistent),
-            dynamic={role: list(items) for role, items in self.dynamic.items()},
-            capacity=self.capacity,
-        )
+        return InstanceMemory(self.persistent, list(self.dynamic), self.capacity)
 
     def content_hash(self) -> str:
         """SHA-256 over the canonical JSON of :meth:`to_dict`.
 
         The digest is kept with its value key, everything ``to_dict`` reads
-        (capacity, persistent texts, artifact tuples), and reused while the
+        (capacity, persistent texts, artifact tuple), and reused while the
         key is equal; like :meth:`render`'s cache this catches ``append``,
         ``replace_dynamic``, a direct edit and a new capacity.
         """
-        key = (
-            self.capacity,
-            tuple(self.persistent[role] for role in ACTING_ROLES),
-            tuple(tuple(self.dynamic[role]) for role in ACTING_ROLES),
-        )
+        key = (self.capacity, tuple(self.persistent.items()), tuple(self.dynamic))
         cached = self._hashed
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -270,24 +254,22 @@ class InstanceMemory:
     def to_dict(self) -> dict:
         return {
             "capacity": self.capacity,
-            "persistent": {role.value: self.persistent[role] for role in ACTING_ROLES},
-            "dynamic": {
-                role.value: [a.to_dict() for a in self.dynamic[role]] for role in ACTING_ROLES
-            },
+            "persistent": {role.value: text for role, text in self.persistent.items()},
+            "dynamic": [a.to_dict() for a in self.dynamic],
         }
 
 
 def replace_dynamic(dst: InstanceMemory, src: InstanceMemory) -> InstanceMemory:
     """Destructively replace dst's learned artifacts with a copy of src's.
 
-    Artifacts are frozen, so copying each role's list is enough to keep later
+    Artifacts are frozen, so copying the list is enough to keep later
     appends and evictions on either side from reaching the other. ``dst``
     also takes src's last content hash, which ``content_hash`` reuses only
     if dst's value key equals the one it was taken for.
     """
     if dst.persistent != src.persistent:
         raise MemoryProtocolError("cannot broadcast between instances with different persistent memory")
-    dst.dynamic = {role: list(items) for role, items in src.dynamic.items()}
+    dst.dynamic = list(src.dynamic)
     dst._hashed = src._hashed
     return dst
 
@@ -309,7 +291,7 @@ def save_workspace(memory: InstanceMemory, directory: str | Path) -> list[Path]:
     """Write ``memory``'s snapshot into ``directory`` and return the path written.
 
     The snapshot is the ``dynamic`` part of :meth:`InstanceMemory.to_dict`:
-    each acting role's artifacts in bucket order.
+    the list of learned artifacts, in memory order.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -325,19 +307,10 @@ def load_workspace(
 
     The snapshot holds only the artifacts, so given the memory's persistent
     text and capacity the result has its content hash. A top level that is
-    not a mapping from each acting role's name to a list is a ``ValueError``
-    naming the file.
+    not a list of mappings is a ``ValueError`` naming the file.
     """
     path = Path(directory) / SNAPSHOT_FILE
     raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    names = [role.value for role in ACTING_ROLES]
-    if (
-        not isinstance(raw, dict)
-        or set(raw) != set(names)
-        or not all(isinstance(items, list) for items in raw.values())
-    ):
-        raise ValueError(f"{path}: expected a mapping from {', '.join(names)} to lists")
-    dynamic = {
-        role: [MemoryArtifact.from_dict(item) for item in raw[role.value]] for role in ACTING_ROLES
-    }
-    return InstanceMemory(persistent=dict(persistent), dynamic=dynamic, capacity=capacity)
+    if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
+        raise ValueError(f"{path}: expected a list of artifact mappings")
+    return InstanceMemory(persistent, [MemoryArtifact.from_dict(item) for item in raw], capacity)

@@ -110,7 +110,7 @@ def test_criterion_01_protocol_invariant_suite(memory, protocol_calls):
 
         for state in result.population:
             if config.condition is Condition.REFLEXION:
-                for artifact in itertools.chain(*state.memory.dynamic.values()):
+                for artifact in state.memory.dynamic:
                     assert artifact.origin.instance == state.instance
             graduated_at = report.graduation_stage[state.instance]
             if graduated_at is not None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import itertools
 import logging
 import sys
@@ -23,6 +24,7 @@ from forge.agents import (
     mock_responder,
     output_token_cap,
     parse_action,
+    parse_example_clause,
     parse_rule_clause,
     serialize_observation,
 )
@@ -53,7 +55,6 @@ from forge.reflexion import AttemptStatus, FailureSnapshot, run_attempt
 def clause_rule(host: int, response: str = "Restore"):
     return MemoryArtifact(
         kind=ArtifactKind.RULE,
-        role=Role.PLANNER,
         text=f"When host {host} is compromised, then handle host {host}.",
         clause=Clause(host=host, response=response),
         origin=Origin(1, 1, 1),
@@ -71,10 +72,15 @@ def reference_host_line(observation: env.Observation, host: int) -> str:
     )
 
 
+def reference_flagged_hosts(observation: env.Observation) -> list[int]:
+    """Every host showing any flag, in host order."""
+    return [host for host in range(13) if True in observation.flags(host)]
+
+
 def reference_serialize_observation(observation: env.Observation) -> str:
     """The Planner's observation text, formatted afresh."""
     lines = [f"step={observation.step_index}"]
-    flagged = observation.flagged_hosts()
+    flagged = reference_flagged_hosts(observation)
     if not flagged:
         lines.append("no hosts flagged")
     lines.extend(reference_host_line(observation, host) for host in flagged)
@@ -171,10 +177,16 @@ class TestScriptedDecide:
             observation, _ = env.step(episode, decision)
 
     @given(observation=OBSERVATIONS)
+    def test_first_flagged_host_is_the_lowest_flagged(self, observation):
+        flagged = reference_flagged_hosts(observation)
+        assert observation.first_flagged_host() == min(flagged, default=None)
+
+    @given(observation=OBSERVATIONS)
     def test_without_firing_clause_equals_reference_heuristic(self, observation):
         # Clauses on hosts that are neither flagged nor confirmed never fire.
         memory = default_memory()
-        quiet = set(range(13)) - set(observation.flagged_hosts()) - {observation.confirmed_host()}
+        flagged = reference_flagged_hosts(observation)
+        quiet = set(range(13)) - set(flagged) - {observation.confirmed_host()}
         for host in sorted(quiet):
             memory.append(clause_rule(host))
         decision = ScriptedBackend().decide(observation, memory)
@@ -190,40 +202,6 @@ class TestScriptedActionTable:
         for host in range(13):
             expected = BlueAction(kind) if kind is ActionKind.MONITOR else BlueAction(kind, host)
             assert clause_action(Clause(host=host, response=response)) == expected
-
-    def test_roles_are_walked_in_acting_order_whatever_the_dict_order(self):
-        # Each role holds a clause on host 3 with its own response, so the
-        # decision names the role that was walked first.
-        responses = {Role.PLANNER: "Restore", Role.ANALYST: "Remove", Role.ACTION_CHOOSER: "Decoy"}
-        artifacts = {
-            role: [
-                MemoryArtifact(
-                    kind=ArtifactKind.RULE,
-                    role=role,
-                    text=f"When host 3 is compromised, then {response.lower()} host 3.",
-                    clause=Clause(host=3, response=response),
-                )
-            ]
-            for role, response in responses.items()
-        }
-        observations = [
-            blank_observation(anomalous_process=flags_for([3])),
-            blank_observation(new_file=flags_for([3, 5])),
-            blank_observation(suspicious_connection=flags_for([5])),
-            blank_observation(),
-        ]
-        backend = ScriptedBackend()
-        in_order = default_memory()
-        in_order.dynamic = {role: list(artifacts[role]) for role in ACTING_ROLES}
-        expected = [backend.decide(o, in_order) for o in observations]
-        assert expected[:2] == [BlueAction(ActionKind.RESTORE, 3)] * 2
-        for roles in itertools.permutations(ACTING_ROLES):
-            shuffled = default_memory()
-            shuffled.dynamic = {role: list(artifacts[role]) for role in roles}
-            assert [backend.decide(o, shuffled) for o in observations] == expected
-            # A bucket of a non-acting role is never read.
-            shuffled.dynamic[Role.REFLECTOR] = []
-            assert [backend.decide(o, shuffled) for o in observations] == expected
 
     def test_a_scripted_attempt_builds_no_action(self, monkeypatch, memory):
         """Count-based guard: every action of a scripted attempt comes from the table."""
@@ -244,6 +222,27 @@ class TestScriptedActionTable:
         assert built == 0
         assert outcome.status is AttemptStatus.COMPLETED
         assert clause_actions & {r.action for r in outcome.trajectory}, "no clause fired"
+
+    def test_a_scripted_episode_hashes_no_enum(self, monkeypatch, memory):
+        """Count-based guard: no step of a scripted episode, clauses firing, hashes an enum."""
+        hosts = (6, 10, 12)
+        for host in hosts:
+            memory.append(clause_rule(host))
+        hashed = []
+        enum_hash = enum.Enum.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return enum_hash(self)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counting)
+        assert hash(Role.PLANNER) == enum_hash(Role.PLANNER) and hashed == [Role.PLANNER]
+        hashed.clear()
+        outcome = run_attempt(memory, 11, None, ScriptedBackend(), env=env)
+        monkeypatch.undo()
+        assert hashed == []
+        fired = {BlueAction(ActionKind.RESTORE, host) for host in hosts}
+        assert fired & {r.action for r in outcome.trajectory}, "no clause fired"
 
 
 def snapshot_with(
@@ -283,6 +282,21 @@ class TestScriptedLearning:
         snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory, new_file_on=[])
         artifacts = ScriptedBackend().reflect(snapshot)
         assert artifacts[0].clause.response == "Remove"
+
+    @pytest.mark.parametrize(
+        "levels, new_file_on, clause",
+        [({}, None, None),
+         ({6: CompromiseLevel.ROOT_ACCESS}, None, Clause(6, "Restore")),
+         ({10: CompromiseLevel.USER_ACCESS}, [], Clause(10, "Remove"))],
+        ids=["no-failing-host", "restore", "remove"],
+    )
+    def test_exemplify_text_parses_to_its_clause(self, memory, levels, new_file_on, clause):
+        # The LLM path reads the clause off the example's Answer line; the
+        # scripted example must say what its clause plays.
+        snapshot = snapshot_with(levels, memory, new_file_on=new_file_on)
+        [artifact] = ScriptedBackend().exemplify(snapshot)
+        assert artifact.clause == clause
+        assert parse_example_clause(artifact.text) == clause
 
     def test_exemplify_produces_interaction_example(self, memory):
         snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory)
@@ -512,6 +526,21 @@ class TestLLMBackend:
         assert any(
             ACTION_TABLE_MARKER in m.content for m in chooser_requests[0].messages
         )
+
+    def test_subagent_prompts_carry_persistent_text_only(self, memory):
+        memory.append(clause_rule(6))
+        connector = RecordingConnector(MockConnector(responder=mock_responder))
+        backend = LLMBackend(connector)
+        observation = blank_observation(anomalous_process=flags_for([6]))
+        backend.decide(observation, memory, CallContext())
+        backend.analyse(6, observation, memory, CallContext())
+        backend.rank_actions({"host": 6, "severity": "high"}, memory, CallContext())
+        planner, analyst, chooser = (r.messages[0].content for r in connector.requests)
+        assert connector.roles == [Role.PLANNER.value, Role.ANALYST.value, Role.ACTION_CHOOSER.value]
+        assert planner.endswith(memory.render())
+        assert memory.dynamic[0].text in planner
+        for role, prompt in ((Role.ANALYST, analyst), (Role.ACTION_CHOOSER, chooser)):
+            assert prompt == agents._DEFAULT_SYSTEM_PROMPTS[role] + "\n\n" + memory.persistent[role]
 
     def test_llm_reflect_parses_rules_with_clauses(self, memory):
         snapshot = snapshot_with({6: CompromiseLevel.ROOT_ACCESS}, memory)

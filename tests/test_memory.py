@@ -33,11 +33,10 @@ EXAMPLE_TEXT = (
 )
 
 
-def rule(host: int = 6, role: Role = Role.PLANNER, stage: int = 1, attempt: int = 1,
-         instance: int = 1, response: str = "Restore") -> MemoryArtifact:
+def rule(host: int = 6, stage: int = 1, attempt: int = 1, instance: int = 1,
+         response: str = "Restore") -> MemoryArtifact:
     return MemoryArtifact(
         kind=ArtifactKind.RULE,
-        role=role,
         text=f"When host {host} is compromised, then restore host {host} immediately.",
         clause=Clause(host=host, response=response),
         origin=Origin(stage, attempt, instance),
@@ -45,10 +44,9 @@ def rule(host: int = 6, role: Role = Role.PLANNER, stage: int = 1, attempt: int 
     )
 
 
-def example(host: int = 6, role: Role = Role.PLANNER) -> MemoryArtifact:
+def example(host: int = 6) -> MemoryArtifact:
     return MemoryArtifact(
         kind=ArtifactKind.EXAMPLE,
-        role=role,
         text=EXAMPLE_TEXT,
         clause=Clause(host=host, response="Restore"),
         origin=Origin(1, 1, 1),
@@ -56,15 +54,15 @@ def example(host: int = 6, role: Role = Role.PLANNER) -> MemoryArtifact:
     )
 
 
-def reference_render(memory: InstanceMemory, role: Role) -> str:
+def reference_render(memory: InstanceMemory) -> str:
     """``InstanceMemory.render`` computed afresh from the memory's current state."""
-    artifacts = memory.dynamic[role]
+    artifacts = memory.dynamic
     rule_lines = "\n".join(
         f"- [{a.artifact_id}] {a.text}" for a in artifacts if a.kind is ArtifactKind.RULE
     )
     example_blocks = "\n\n".join(a.text for a in artifacts if a.kind is ArtifactKind.EXAMPLE)
     return (
-        f"{memory.persistent[role].rstrip()}\n\n"
+        f"{memory.persistent[Role.PLANNER].rstrip()}\n\n"
         f"<reflection_knowledge>\n{rule_lines}\n</reflection_knowledge>\n\n"
         f"<TOOL_USE_EXAMPLES>\n{example_blocks}\n</TOOL_USE_EXAMPLES>"
     )
@@ -82,37 +80,56 @@ ACTING = st.sampled_from(mem.ACTING_ROLES)
 
 # One step of a memory's life between two renders.
 RENDER_OPS = st.one_of(
-    st.tuples(st.just("append"), ACTING, st.booleans(), st.integers(0, 12)),
+    st.tuples(st.just("append"), st.booleans(), st.integers(0, 12)),
     st.tuples(st.just("replace_dynamic"), st.integers(0, 2)),
     st.tuples(st.just("load_workspace"), st.integers(0, 2)),
     st.tuples(
-        st.just("edit"), ACTING, st.sampled_from(["setitem", "pop", "reverse", "clear"]),
+        st.just("edit"), st.sampled_from(["setitem", "pop", "reverse", "clear"]),
         st.integers(0, 12),
     ),
     st.tuples(st.just("persistent"), ACTING, st.sampled_from(["", "Defend.", "Defend. \n"])),
 )
 
 
+def apply_op(memory: InstanceMemory, op: str, args: list, source, directory) -> None:
+    """Apply one ``RENDER_OPS`` step to ``memory``; ``directory()`` makes a new directory."""
+    if op == "append":
+        is_rule, host = args
+        memory.append(rule(host) if is_rule else example(host))
+    elif op == "replace_dynamic":
+        mem.replace_dynamic(memory, source(args[0]))
+    elif op == "load_workspace":
+        path = directory()
+        mem.save_workspace(source(args[0]), path)
+        memory.dynamic = mem.load_workspace(path, memory.persistent, memory.capacity).dynamic
+    elif op == "edit":
+        edit, host = args
+        dynamic = memory.dynamic
+        if edit == "setitem" and dynamic:
+            dynamic[host % len(dynamic)] = rule(host, attempt=2)
+        elif edit == "pop" and dynamic:
+            dynamic.pop(host % len(dynamic))
+        elif edit == "reverse":
+            dynamic.reverse()
+        elif edit == "clear":
+            dynamic.clear()
+    else:
+        role, text = args
+        memory.persistent[role] = text
+
+
 class TestArtifactValidation:
     def test_empty_text_rejected(self):
         with pytest.raises(ArtifactValidationError):
-            MemoryArtifact(kind=ArtifactKind.RULE, role=Role.PLANNER, text="  ")
+            MemoryArtifact(kind=ArtifactKind.RULE, text="  ")
 
     def test_rule_shape_enforced(self):
         with pytest.raises(ArtifactValidationError):
-            MemoryArtifact(kind=ArtifactKind.RULE, role=Role.PLANNER, text="restore host 6")
+            MemoryArtifact(kind=ArtifactKind.RULE, text="restore host 6")
 
     def test_example_markers_enforced(self):
         with pytest.raises(ArtifactValidationError):
-            MemoryArtifact(kind=ArtifactKind.EXAMPLE, role=Role.PLANNER, text="Thought: hmm")
-
-    def test_learning_roles_cannot_own_artifacts(self):
-        with pytest.raises(ArtifactValidationError):
-            MemoryArtifact(
-                kind=ArtifactKind.RULE,
-                role=Role.REFLECTOR,
-                text="When x, then y.",
-            )
+            MemoryArtifact(kind=ArtifactKind.EXAMPLE, text="Thought: hmm")
 
     @pytest.mark.parametrize(
         "text, artifact_id",
@@ -123,14 +140,13 @@ class TestArtifactValidation:
     def test_lone_surrogate_rejected(self, text, artifact_id):
         with pytest.raises(ArtifactValidationError):
             MemoryArtifact(
-                kind=ArtifactKind.RULE, role=Role.PLANNER, text=text, artifact_id=artifact_id
+                kind=ArtifactKind.RULE, text=text, artifact_id=artifact_id
             )
 
     def test_unknown_clause_response_rejected(self):
         with pytest.raises(ArtifactValidationError):
             MemoryArtifact(
                 kind=ArtifactKind.RULE,
-                role=Role.PLANNER,
                 text="When host 6 is compromised, then nuke host 6.",
                 clause=Clause(host=6, response="Nuke"),
             )
@@ -140,7 +156,6 @@ class TestArtifactValidation:
         with pytest.raises(ArtifactValidationError, match="clause host must be in 0..12"):
             MemoryArtifact(
                 kind=ArtifactKind.RULE,
-                role=Role.PLANNER,
                 text="When host 6 is compromised, then restore host 6.",
                 clause=Clause(host=host, response="Restore"),
             )
@@ -149,7 +164,6 @@ class TestArtifactValidation:
         for host in (0, 12):
             MemoryArtifact(
                 kind=ArtifactKind.RULE,
-                role=Role.PLANNER,
                 text=f"When host {host} is compromised, then restore host {host}.",
                 clause=Clause(host=host, response="Restore"),
             )
@@ -180,59 +194,72 @@ class TestArtifactValidation:
         mem.save_workspace(memory, tmp_path)
         path = tmp_path / mem.SNAPSHOT_FILE
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-        raw[Role.PLANNER.value][0]["clause"] = clause
+        raw[0]["clause"] = clause
         path.write_text(mem.dump_yaml(raw), encoding="utf-8")
         with pytest.raises(ArtifactValidationError, match=f"clause keys .*'{key}'"):
+            mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
+
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [(lambda a: a.update(role="planner"), "role"),
+         (lambda a: a.update(claus=a.pop("clause")), "claus"),
+         (lambda a: a.pop("origin"), "origin"),
+         (lambda a: a.pop("artifact_id"), "artifact_id"),
+         (lambda a: a["origin"].pop("stage"), "stage"),
+         (lambda a: a["origin"].update(step=3), "step")],
+        ids=["old-role", "misspelled-clause", "no-origin", "no-artifact-id", "origin-no-stage",
+             "origin-extra-key"],
+    )
+    def test_artifact_with_other_keys_fails_its_load(self, memory, tmp_path, edit, key):
+        # An artifact is exactly the keys ``to_dict`` writes: an old
+        # snapshot's role, a misspelled or missing key is refused, not
+        # defaulted or ignored.
+        memory.append(rule(6))
+        mem.save_workspace(memory, tmp_path)
+        path = tmp_path / mem.SNAPSHOT_FILE
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        edit(raw[0])
+        path.write_text(mem.dump_yaml(raw), encoding="utf-8")
+        with pytest.raises(ArtifactValidationError, match=f"keys .*'{key}'"):
             mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
 
 
 class TestAppend:
     def test_append_to_empty(self, memory):
         memory.append(rule())
-        assert len(memory.dynamic[Role.PLANNER]) == 1
+        assert memory.dynamic == [rule()]
 
     def test_fifo_eviction(self):
         memory = InstanceMemory(persistent=default_persistent(), capacity=3)
         for host in (0, 1, 2, 3):
             memory.append(rule(host))
-        kept = [a.clause.host for a in memory.dynamic[Role.PLANNER]]
+        kept = [a.clause.host for a in memory.dynamic]
         assert kept == [1, 2, 3]
 
-    def test_role_isolation(self, memory):
-        memory.append(rule(role=Role.ANALYST))
-        assert memory.dynamic[Role.PLANNER] == []
-        assert memory.dynamic[Role.ACTION_CHOOSER] == []
-        assert len(memory.dynamic[Role.ANALYST]) == 1
-
     @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from([Role.PLANNER, Role.ANALYST, Role.ACTION_CHOOSER]),
-                st.booleans(),
-                st.integers(0, 12),
-            ),
-            max_size=60,
-        ),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=60),
         st.integers(1, 7),
     )
     @settings(max_examples=50, deadline=None)
     def test_capacity_never_exceeded(self, appends, capacity):
         memory = InstanceMemory(persistent=default_persistent(), capacity=capacity)
-        for role, is_rule, host in appends:
-            memory.append(rule(host, role=role) if is_rule else example(host, role=role))
-        for role in (Role.PLANNER, Role.ANALYST, Role.ACTION_CHOOSER):
-            assert len(memory.dynamic[role]) <= capacity
+        appended = [rule(host) if is_rule else example(host) for is_rule, host in appends]
+        for artifact in appended:
+            memory.append(artifact)
+        # Rules and examples share the one list, which keeps the newest.
+        assert memory.dynamic == appended[-capacity:]
 
     def test_eviction_preserves_recency(self):
         memory = InstanceMemory(persistent=default_persistent(), capacity=2)
         for host in range(5):
             memory.append(rule(host))
-        assert [a.clause.host for a in memory.dynamic[Role.PLANNER]] == [3, 4]
+        assert [a.clause.host for a in memory.dynamic] == [3, 4]
 
 
 class TestRender:
     def test_empty_memory_renders_markers(self, memory):
-        text = memory.render(Role.PLANNER)
+        text = memory.render()
         assert "<reflection_knowledge>" in text
         assert "</reflection_knowledge>" in text
         assert "<TOOL_USE_EXAMPLES>" in text
@@ -242,7 +269,7 @@ class TestRender:
         memory.append(example(2))
         memory.append(rule(6))
         memory.append(example(9))
-        text = memory.render(Role.PLANNER)
+        text = memory.render()
         knowledge = text.index("<reflection_knowledge>")
         examples = text.index("<TOOL_USE_EXAMPLES>")
         assert knowledge < text.index("When host 6") < examples
@@ -251,12 +278,12 @@ class TestRender:
     def test_insertion_order_preserved(self, memory):
         memory.append(rule(2))
         memory.append(rule(9))
-        text = memory.render(Role.PLANNER)
+        text = memory.render()
         assert text.index("host 2") < text.index("host 9")
 
     def test_planner_render_never_contains_action_table(self, memory):
         memory.append(rule())
-        text = memory.render(Role.PLANNER)
+        text = memory.render()
         assert mem.ACTION_TABLE_MARKER not in text
         assert mem.ACTION_TABLE_MARKER in ACTION_REFERENCE_TABLE
 
@@ -264,10 +291,10 @@ class TestRender:
         memory.append(rule())
         fresh = memory.clone()
         before = (repr(memory), memory.to_dict(), memory.content_hash())
-        memory.render(Role.PLANNER)
+        memory.render()
         assert memory == fresh
         assert (repr(memory), memory.to_dict(), memory.content_hash()) == before
-        assert memory.clone()._rendered == {}
+        assert memory.clone()._rendered is None
 
     @given(st.lists(RENDER_OPS, max_size=14))
     @settings(max_examples=60, deadline=None)
@@ -278,37 +305,12 @@ class TestRender:
             other = default_memory(capacity=3, persistent=dict(memory.persistent))
             for host in range(n + 1):
                 other.append(rule(host, stage=n))
-                other.append(example(host + n, role=Role.ANALYST))
+                other.append(example(host + n))
             return other
 
         for op, *args in ops:
-            if op == "append":
-                role, is_rule, host = args
-                memory.append(rule(host, role=role) if is_rule else example(host, role=role))
-            elif op == "replace_dynamic":
-                mem.replace_dynamic(memory, source(args[0]))
-            elif op == "load_workspace":
-                directory = tmp_path_factory.mktemp("workspace")
-                mem.save_workspace(source(args[0]), directory)
-                loaded = mem.load_workspace(directory, memory.persistent, memory.capacity)
-                for role in mem.ACTING_ROLES:
-                    memory.dynamic[role] = loaded.dynamic[role]
-            elif op == "edit":
-                role, edit, host = args
-                bucket = memory.dynamic[role]
-                if edit == "setitem" and bucket:
-                    bucket[host % len(bucket)] = rule(host, role=role, attempt=2)
-                elif edit == "pop" and bucket:
-                    bucket.pop(host % len(bucket))
-                elif edit == "reverse":
-                    bucket.reverse()
-                elif edit == "clear":
-                    bucket.clear()
-            else:
-                role, text = args
-                memory.persistent[role] = text
-            for role in mem.ACTING_ROLES:
-                assert memory.render(role) == reference_render(memory, role)
+            apply_op(memory, op, args, source, lambda: tmp_path_factory.mktemp("workspace"))
+            assert memory.render() == reference_render(memory)
 
 
 class TestPersistence:
@@ -324,7 +326,7 @@ class TestPersistence:
         for host in (0, 1):
             memory.append(rule(host))
             memory.append(example(host))
-        memory.append(rule(4, role=Role.ANALYST))
+        memory.append(rule(4))
         assert self.round_trip(memory, tmp_path) == memory
 
     @given(
@@ -362,7 +364,13 @@ class TestPersistence:
         memory.append(example(2))
         mem.save_workspace(memory, tmp_path)
         path = tmp_path / "artifacts.yaml"
-        assert yaml.safe_load(path.read_text(encoding="utf-8")) == memory.to_dict()["dynamic"]
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        assert raw == memory.to_dict()["dynamic"]
+        # One list in memory order, and no artifact names a role.
+        keys = ["artifact_id", "clause", "kind", "origin", "text"]
+        assert [(item["artifact_id"], sorted(item)) for item in raw] == [
+            ("rule-1-1-1", keys), ("example-2", keys)
+        ]
 
     @pytest.mark.parametrize(
         "text",
@@ -372,8 +380,9 @@ class TestPersistence:
             "planner: []\nanalyst: []\n",
             "planner: []\nanalyst: []\naction_chooser: []\nreflector: []\n",
             "planner: []\nanalyst: {}\naction_chooser: []\n",
+            "planner: []\nanalyst: []\naction_chooser: []\n",
         ],
-        ids=["empty", "list", "missing-role", "extra-role", "not-a-list"],
+        ids=["empty", "list", "missing-role", "extra-role", "not-a-list", "per-role"],
     )
     def test_malformed_top_level_names_the_file(self, tmp_path, text):
         path = tmp_path / "artifacts.yaml"
@@ -395,14 +404,14 @@ class TestReplaceDynamic:
     def test_empty_source_empties_destination(self, memory):
         memory.append(rule())
         mem.replace_dynamic(memory, default_memory())
-        assert not any(memory.dynamic.values())
+        assert memory.dynamic == []
 
     def test_deep_copy_isolates_source(self, memory):
         src = default_memory()
         src.append(rule(1))
         mem.replace_dynamic(memory, src)
         memory.append(rule(5))
-        assert [a.clause.host for a in src.dynamic[Role.PLANNER]] == [1]
+        assert [a.clause.host for a in src.dynamic] == [1]
 
     def test_list_copy_isolates_both_sides(self):
         src = InstanceMemory(persistent=default_persistent(), capacity=2)
@@ -411,11 +420,9 @@ class TestReplaceDynamic:
         dst = InstanceMemory(persistent=default_persistent(), capacity=2)
         mem.replace_dynamic(dst, src)
         dst.append(rule(3))  # evicts rule 1 from dst only
-        dst.append(example(4, role=Role.ANALYST))
-        assert [a.clause.host for a in src.dynamic[Role.PLANNER]] == [1, 2]
-        assert src.dynamic[Role.ANALYST] == []
+        assert [a.clause.host for a in src.dynamic] == [1, 2]
         src.append(rule(5))
-        assert [a.clause.host for a in dst.dynamic[Role.PLANNER]] == [2, 3]
+        assert [a.clause.host for a in dst.dynamic] == [2, 3]
 
     def test_idempotent(self, memory):
         src = default_memory()
@@ -449,8 +456,7 @@ class TestInvariants:
     def test_hash_stable_across_learning_free_operations(self, memory):
         memory.append(rule())
         before = memory.content_hash()
-        memory.render(Role.PLANNER)
-        memory.render(Role.ANALYST)
+        memory.render()
         assert memory.content_hash() == before
 
     def test_persistent_hash_unchanged_by_appends(self, memory):
@@ -467,7 +473,7 @@ class TestContentHash:
     def test_is_sha256_of_canonical_json(self, memory):
         memory.persistent[Role.ANALYST] = "Prüfe den Host – sofort."
         memory.append(rule(1))
-        memory.append(example(2, role=Role.ANALYST))
+        memory.append(example(2))
         canonical = json.dumps(
             memory.to_dict(), sort_keys=True, ensure_ascii=False, separators=(",", ":")
         )
@@ -482,7 +488,7 @@ class TestContentHash:
     def test_equal_after_workspace_round_trip(self, memory, tmp_path):
         memory.append(rule(1))
         memory.append(example(2))
-        memory.append(rule(3, role=Role.ACTION_CHOOSER))
+        memory.append(rule(3))
         mem.save_workspace(memory, tmp_path)
         loaded = mem.load_workspace(tmp_path, memory.persistent, memory.capacity)
         assert loaded.content_hash() == memory.content_hash()
@@ -494,7 +500,7 @@ class TestContentHash:
         if change == "append":
             memory.append(rule(2))
         elif change == "list_edit":
-            memory.dynamic[Role.PLANNER][0] = rule(1, attempt=2)
+            memory.dynamic[0] = rule(1, attempt=2)
         elif change == "persistent":
             memory.persistent[Role.ANALYST] = "Another indicator guide."
         else:
@@ -514,7 +520,7 @@ class TestContentHash:
     def test_receivers_take_the_source_digest(self, monkeypatch):
         src = default_memory()
         src.append(rule(1))
-        src.append(example(2, role=Role.ANALYST))
+        src.append(example(2))
         receivers = [default_memory() for _ in range(3)]
         receivers[0].append(rule(9))
         for receiver in receivers:
@@ -549,39 +555,15 @@ class TestContentHash:
             other = default_memory(capacity=3, persistent=dict(memory.persistent))
             for host in range(n + 1):
                 other.append(rule(host, stage=n))
-                other.append(example(host + n, role=Role.ANALYST))
+                other.append(example(host + n))
             other.content_hash()
             return other
 
         for op, *args in ops:
-            if op == "append":
-                role, is_rule, host = args
-                memory.append(rule(host, role=role) if is_rule else example(host, role=role))
-            elif op == "replace_dynamic":
-                mem.replace_dynamic(memory, source(args[0]))
-            elif op == "load_workspace":
-                directory = tmp_path_factory.mktemp("workspace")
-                mem.save_workspace(source(args[0]), directory)
-                loaded = mem.load_workspace(directory, memory.persistent, memory.capacity)
-                for role in mem.ACTING_ROLES:
-                    memory.dynamic[role] = loaded.dynamic[role]
-            elif op == "edit":
-                role, edit, host = args
-                bucket = memory.dynamic[role]
-                if edit == "setitem" and bucket:
-                    bucket[host % len(bucket)] = rule(host, role=role, attempt=2)
-                elif edit == "pop" and bucket:
-                    bucket.pop(host % len(bucket))
-                elif edit == "reverse":
-                    bucket.reverse()
-                elif edit == "clear":
-                    bucket.clear()
-            else:
-                role, text = args
-                memory.persistent[role] = text
+            apply_op(memory, op, args, source, lambda: tmp_path_factory.mktemp("workspace"))
             assert memory.content_hash() == reference_hash(memory)
 
-    def test_order_within_a_role_matters(self, memory):
+    def test_order_within_the_list_matters(self, memory):
         swapped = memory.clone()
         memory.append(rule(1))
         memory.append(rule(2))

@@ -3,7 +3,6 @@ from __future__ import annotations
 import errno
 import hashlib
 import io
-import itertools
 import json
 import logging
 import re
@@ -43,7 +42,7 @@ from forge.llm_connector import (
     approx_tokens,
 )
 from forge.metrics import sweep_tau
-from forge.memory import ArtifactKind, InstanceMemory, Origin, Representation, Role
+from forge.memory import ArtifactKind, InstanceMemory, Origin, Representation
 from forge.protocol import (
     CHECKPOINT_FAILED,
     PHASE_EVALUATION,
@@ -294,7 +293,7 @@ class TestBroadcast:
         from test_memory import rule
 
         population[0].memory.append(rule(0))
-        assert len(population[1].memory.dynamic[Role.PLANNER]) == 2
+        assert len(population[1].memory.dynamic) == 2
 
 
 class FlakyBackend:
@@ -353,7 +352,7 @@ class TestRunProtocol:
         result = run_protocol(small_config(condition=Condition.REFLEXION))
         assert all(s.champion is None for s in result.report.stage_reports)
         for state in result.population:
-            for artifact in itertools.chain(*state.memory.dynamic.values()):
+            for artifact in state.memory.dynamic:
                 assert artifact.origin.instance == state.instance
 
     def test_everyone_graduates_early_stops_attempts(self, protocol_calls):
@@ -425,10 +424,10 @@ class TestRunProtocol:
     def test_outputs_pinned_across_versions(self, tmp_path):
         """SHA-256 of the report, every memory snapshot and every failure record.
 
-        Both digests changed last when a learned clause lost its unused
-        ``trigger`` and ``target`` keys: each snapshot clause is two lines
-        shorter, and the report's memory hashes move with it. Trajectories
-        and failure records kept their bytes. A change that alters any of
+        Both digests changed last when a memory's learned artifacts became
+        one list: each snapshot is a list without ``role`` keys, and the
+        report's memory hashes move with it. Trajectories and failure
+        records kept their bytes. A change that alters any of
         these bytes must say why and update them.
         """
         run_protocol(small_config(representation=Representation.MIXED), run_dir=tmp_path)
@@ -440,12 +439,12 @@ class TestRunProtocol:
             for path in [report, *memories, *failures]
         )
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "47bb366cd17838cc2bcd1a873423c4c062c7d64e91d9794e9db0eb46c342d646"
+            "a7d5590a31030388cf3a9b7bb070acf3895971d6068cab2a7a58048150ffabee"
         )
         assert len(memories) == 3 * 2  # one memory file per instance and stage
         assert len(read_attempt_logs(tmp_path)[1]) == 12  # failure records
         assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == (
-            "f7a733c30ed88799a41ded8a76c9470f8818fabff23c455f6aa948dfb025d80a"
+            "3a58585a292d5643e78a607ebe6b1cc569591f2ae0321199dbdb65040911ecba"
         )
 
     @pytest.mark.parametrize(
@@ -453,18 +452,18 @@ class TestRunProtocol:
         [
             (
                 Representation.RULES,
-                "81788b971eb113cd240dcbc34b07ed84d9b10a472db157b44cc871806a612fc5",
-                "fe492b56b9011e9de6463daeff12f27059611debbf42913577d5ca63fbf2dbc2",
+                "3808be511ef00891c08f660fa52e90977321802418f0b744a79283c5080b7215",
+                "0493142cee965daba9977b02c8d907994907b53fcf0ca807fd01f7f2868d64c0",
             ),
             (
                 Representation.EXAMPLES,
-                "5f0698d1958e1b1e4e6704375bc197feb48ecf239b78732bc222ed151320e8bf",
-                "ecd13a6bf4f17594cbfc8b47986ffb8760be0a4a9d1eec6f22d303539287d4e1",
+                "db14b054bbceae7955f3e75a950133ecaab6fd107529d0070e07e0db2c4f7eef",
+                "b26ccd3e42d647af9c7b9c330e783cf6675d545c1cdcaed3328bfd62cae5faa4",
             ),
             (
                 Representation.MIXED,
-                "1f3bed6d2c8823bdce1dedc377e31139a455e6225bcdb1b15004b0bae070ae31",
-                "0dab87ad82a6ef1e9a3d140dbfb7ee6143f2cb88893eb111f6fd7b1f92a46c9a",
+                "40a48b224419a4b5d20d11f904c187158fd5c76b83e7c30ca7b0a8ec060d2c75",
+                "8f5f4807cc5bf9a3471f576713c4bd382c19ec9dc2ef3db9d19dd3bbd2e7b2cf",
             ),
         ],
     )
@@ -474,8 +473,8 @@ class TestRunProtocol:
         """SHA-256 of every file of a scripted run directory.
 
         The whole directory, trajectories included, is deterministic. The
-        report and manifest digests were re-pinned when a learned clause
-        lost its unused ``trigger`` and ``target`` keys: only the snapshots
+        report and manifest digests were re-pinned when a memory's learned
+        artifacts became one list without ``role`` keys: only the snapshots
         and the memory hashes in the reports moved. The file count was
         re-pinned when each memory snapshot became one ``artifacts.yaml``.
         A change that alters any of these bytes must say why and update
@@ -612,7 +611,7 @@ class TestRunProtocol:
             loaded = memory_module.load_workspace(
                 directory, default_persistent(), config.memory_capacity
             )
-            kinds.update(a.kind for role in loaded.dynamic for a in loaded.dynamic[role])
+            kinds.update(a.kind for a in loaded.dynamic)
         assert kinds == {
             Representation.RULES: {ArtifactKind.RULE},
             Representation.EXAMPLES: {ArtifactKind.EXAMPLE},
@@ -772,7 +771,7 @@ class TestRunDirectoryWrites:
 
     def test_every_snapshot_loads_to_its_stage_hash(self, tmp_path):
         """``load_workspace`` of each ``stage_SS/memory`` hashes to that stage's
-        ``memory_hashes`` entry, so every bucket comes back in its order."""
+        ``memory_hashes`` entry, so every memory comes back in its order."""
         config = small_config(representation=Representation.MIXED)
         result = run_protocol(config, run_dir=tmp_path)
         kinds = set()
@@ -787,9 +786,8 @@ class TestRunDirectoryWrites:
                     directory, default_persistent(), capacity=config.memory_capacity
                 )
                 assert loaded.content_hash() == digest
-                for bucket in loaded.dynamic.values():
-                    kinds.add(tuple(a.kind for a in bucket))
-        # Some bucket holds a rule after an example: the order is the file's, not a sort by kind.
+                kinds.add(tuple(a.kind for a in loaded.dynamic))
+        # Some memory holds a rule after an example: the order is the file's, not a sort by kind.
         assert any(
             ArtifactKind.RULE in sequence[sequence.index(ArtifactKind.EXAMPLE):]
             for sequence in kinds

@@ -9,7 +9,7 @@ from forge import cage_lite as env
 from forge import reflexion
 from forge.agents import ScriptedBackend, default_memory
 from forge.llm_connector import ConnectorError
-from forge.memory import ArtifactKind, Origin, Representation, Role
+from forge.memory import ArtifactKind, Origin, Representation
 from forge.reflexion import (
     AttemptStatus,
     reflexion_loop,
@@ -75,7 +75,7 @@ class TestSnapshot:
         from test_memory import rule
 
         memory.append(rule(5))
-        assert not any(snapshot_memory.dynamic.values())
+        assert snapshot_memory.dynamic == []
 
 
 class FailingBackend:
@@ -165,7 +165,7 @@ class TestReflexionLoop:
                 base_seed=yylchash_seed(),
             )
         )
-        kinds = {a.kind for items in memory.dynamic.values() for a in items}
+        kinds = {a.kind for a in memory.dynamic}
         assert kinds == {ArtifactKind.RULE, ArtifactKind.EXAMPLE}
 
     def test_examples_representation_adds_only_examples(self, memory):
@@ -181,7 +181,7 @@ class TestReflexionLoop:
                 base_seed=yylchash_seed(),
             )
         )
-        learned = [a for items in memory.dynamic.values() for a in items]
+        learned = list(memory.dynamic)
         assert learned, "expected learning to occur"
         assert all(a.kind is ArtifactKind.EXAMPLE for a in learned)
 
@@ -214,7 +214,7 @@ def record_sizes_after_attempts(monkeypatch, memory):
     run_attempt = reflexion.run_attempt
 
     def size():
-        return sum(len(items) for items in memory.dynamic.values())
+        return len(memory.dynamic)
 
     def recording(memory_arg, *args, **kwargs):
         at_start.append(size())
@@ -289,7 +289,6 @@ class TestSynthesizeDispatch:
         backend = ScriptedBackend(representation=Representation.RULES)
         artifacts = synthesize(outcome.snapshot, backend)
         assert all(a.kind is ArtifactKind.RULE for a in artifacts)
-        assert all(a.role is Role.PLANNER for a in artifacts)
 
 
 @pytest.fixture
